@@ -8,6 +8,8 @@ in CI:
 * simulated inferences/sec through the functional executor — LeNet-5 at
   full size (vectorized AND scalar, asserting the >= 5x vectorization
   floor), MobileNetV1/ResNet-18 through their reduced twins;
+* LeNet-5 functional images/sec for one batch-4 call vs four batch-1
+  calls — the batch axis serving relies on, asserting its speedup floor;
 * pruned 72-point conv1x1 DSE sweep wall-clock, serial vs 4 workers;
 * static equivalence certification of the whole folded LeNet-5 build vs
   one interpreter cross-check of a single kernel — the certificate path
@@ -80,6 +82,10 @@ RETRIES = 2
 #: the vectorized interpreter must beat scalar by at least this factor
 #: on LeNet-5 (a pure ratio — no calibration needed)
 LENET_SPEEDUP_FLOOR = 5.0
+#: one batch-4 LeNet-5 call must beat four batch-1 calls by this factor
+#: (a back-to-back ratio, so no calibration); measured ~2x on one CPU
+LENET_BATCH = 4
+LENET_BATCH_SPEEDUP_FLOOR = 1.4
 
 #: network -> board it compiles on (ResNet-18 does not fit the A10)
 COMPILE_TARGETS = (
@@ -217,6 +223,22 @@ def _measure_lenet_speedup(vector_ips: float) -> dict:
             "speedup": vector_ips * scalar_s}
 
 
+def _measure_lenet_batch() -> dict:
+    """Images/sec of one batch-4 call vs four batch-1 calls (LeNet-5)."""
+    dep = deploy_pipelined("lenet5", ARRIA10, cache=False)
+    xs = np.random.default_rng(1).standard_normal(
+        (LENET_BATCH, 1, 28, 28)).astype(np.float32)
+    dep.forward_functional(xs)  # warm caches before timing
+    single_s = _best_of(lambda: [dep.forward_functional(x) for x in xs])
+    batch_s = _best_of(lambda: dep.forward_functional(xs))
+    return {
+        "batch": LENET_BATCH,
+        "single_ips": LENET_BATCH / single_s,
+        "batched_ips": LENET_BATCH / batch_s,
+        "speedup": single_s / batch_s,
+    }
+
+
 def _measure_sweep() -> dict:
     fused = fuse_operators(MODELS["mobilenet_v1"]())
     arms = {}
@@ -339,6 +361,7 @@ def trajectory():
         "throughput_ips": throughput,
         "lenet5": _measure_lenet_speedup(
             throughput["lenet5@pipelined"]["value"]),
+        "lenet5_batch": _measure_lenet_batch(),
         "sweep": _measure_sweep(),
         "certify": _measure_certify(),
         "memory": _measure_memory(),
@@ -408,6 +431,13 @@ def _save_report(current, baseline) -> None:
     rows.append(["lenet5 vec/scalar", f"{current['lenet5']['speedup']:.0f}x",
                  f"{baseline['lenet5']['speedup']:.0f}x",
                  f">= {LENET_SPEEDUP_FLOOR:.0f}x floor"])
+    batch, bbatch = current["lenet5_batch"], baseline.get("lenet5_batch", {})
+    rows.append([f"lenet5 batch-{batch['batch']} vs batch-1",
+                 f"{batch['batched_ips']:.1f} vs {batch['single_ips']:.1f} ips",
+                 f"{bbatch.get('batched_ips', 0):.1f} vs "
+                 f"{bbatch.get('single_ips', 0):.1f} ips",
+                 f"{batch['speedup']:.2f}x (floor "
+                 f"{LENET_BATCH_SPEEDUP_FLOOR:.1f}x)"])
     sweep, bsweep = current["sweep"], baseline["sweep"]
     rows.append([f"sweep serial ({sweep['evaluated']}/{sweep['points']} pts)",
                  f"{sweep['serial_s']:.2f} s", f"{bsweep['serial_s']:.2f} s",
@@ -470,6 +500,14 @@ class TestPerfTrajectory:
         assert speedup >= LENET_SPEEDUP_FLOOR, (
             f"vectorized LeNet-5 only {speedup:.1f}x scalar "
             f"(floor {LENET_SPEEDUP_FLOOR}x)"
+        )
+
+    def test_lenet_batched_speedup_floor(self, trajectory):
+        current, _, _ = trajectory
+        speedup = current["lenet5_batch"]["speedup"]
+        assert speedup >= LENET_BATCH_SPEEDUP_FLOOR, (
+            f"one batch-{LENET_BATCH} LeNet-5 call only {speedup:.2f}x "
+            f"{LENET_BATCH} batch-1 calls (floor {LENET_BATCH_SPEEDUP_FLOOR}x)"
         )
 
     def test_throughput_within_band(self, trajectory):

@@ -12,7 +12,8 @@ functional path for whole networks lives in :mod:`repro.runtime.executor`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
@@ -40,60 +41,132 @@ _INTRINSICS = {
 }
 
 
-class ChannelState:
-    """FIFO state shared between interpreted kernels.
+class _Fifo:
+    """One row's FIFO: float32 array chunks plus pending scalar writes.
 
-    Backed by a list plus a read cursor so the vectorized interpreter can
-    push/pop whole array chunks (:meth:`write_chunk` / :meth:`read_chunk`)
-    without per-element deque traffic; the scalar :meth:`write` /
-    :meth:`read` API is unchanged.  Values are stored as Python floats,
-    which hold every float32 exactly, so chunk round-trips are bit-exact.
+    Chunks are stored as written (no per-element boxing); scalar
+    :meth:`push_one` values collect in ``pending`` and become a chunk on
+    the next chunk-level operation, so FIFO order is preserved.
     """
 
-    def __init__(self, channel: Channel) -> None:
+    __slots__ = ("chunks", "head", "size", "pending")
+
+    def __init__(self) -> None:
+        self.chunks: Deque[np.ndarray] = deque()
+        self.head = 0  # read cursor into chunks[0]
+        self.size = 0
+        self.pending: List[np.float32] = []
+
+    def _flush(self) -> None:
+        if self.pending:
+            self.chunks.append(np.array(self.pending, dtype=_F32))
+            self.pending = []
+
+    def push(self, values: np.ndarray) -> None:
+        self._flush()
+        if values.size:
+            self.chunks.append(values)
+            self.size += values.size
+
+    def push_one(self, value) -> None:
+        self.pending.append(_F32(value))
+        self.size += 1
+
+    def pop(self, n: int) -> np.ndarray:
+        self._flush()
+        self.size -= n
+        parts = []
+        while n:
+            chunk = self.chunks[0]
+            take = min(n, chunk.size - self.head)
+            parts.append(chunk[self.head : self.head + take])
+            self.head += take
+            n -= take
+            if self.head == chunk.size:
+                self.chunks.popleft()
+                self.head = 0
+        if not parts:
+            return np.zeros(0, _F32)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+class ChannelState:
+    """FIFO state shared between interpreted kernels, one FIFO per row.
+
+    A batched run (see :mod:`repro.ir.vinterp`) interprets ``rows``
+    independent images at once; each row owns its own FIFO of float32
+    array chunks, so :meth:`write_chunk` / :meth:`read_chunk` move whole
+    ``(rows, n)`` blocks without per-element traffic and every value
+    keeps its float32 bits.  The scalar :meth:`write` / :meth:`read` API
+    works on single-row states; :meth:`row` returns a single-row view
+    sharing one row's FIFO, which is how a batched run hands a channel
+    to per-row scalar code.
+    """
+
+    def __init__(self, channel: Channel, rows: int = 1) -> None:
         self.channel = channel
-        self._items: List[float] = []
-        self._head = 0
+        self._fifos = [_Fifo() for _ in range(rows)]
+
+    @property
+    def rows(self) -> int:
+        return len(self._fifos)
 
     def __len__(self) -> int:
-        return len(self._items) - self._head
+        """Values every row can pop (the shortest row's length)."""
+        return min(f.size for f in self._fifos)
 
-    def _compact(self) -> None:
-        if self._head > 4096 and self._head * 2 > len(self._items):
-            del self._items[: self._head]
-            self._head = 0
+    def row(self, b: int) -> "ChannelState":
+        view = ChannelState.__new__(ChannelState)
+        view.channel = self.channel
+        view._fifos = [self._fifos[b]]
+        return view
+
+    def _single(self) -> _Fifo:
+        if len(self._fifos) != 1:
+            raise RuntimeSimError(
+                f"channel {self.channel.name}: scalar access to a "
+                f"{len(self._fifos)}-row channel; use row()"
+            )
+        return self._fifos[0]
+
+    def _empty(self) -> RuntimeSimError:
+        return RuntimeSimError(
+            f"read from empty channel {self.channel.name}: interpreted "
+            "kernels must be run producer-first"
+        )
 
     def write(self, value: float) -> None:
-        self._items.append(float(value))
+        self._single().push_one(value)
 
-    def read(self) -> float:
-        if self._head >= len(self._items):
-            raise RuntimeSimError(
-                f"read from empty channel {self.channel.name}: interpreted "
-                "kernels must be run producer-first"
-            )
-        value = self._items[self._head]
-        self._head += 1
-        self._compact()
-        return _F32(value)
+    def read(self) -> np.float32:
+        fifo = self._single()
+        if not fifo.size:
+            raise self._empty()
+        return fifo.pop(1)[0]
 
-    def write_chunk(self, values: np.ndarray) -> None:
-        """Append a flat float32 array, preserving element order."""
-        self._items.extend(np.asarray(values, dtype=_F32).ravel().tolist())
+    def write_chunk(self, values: np.ndarray, start: int = 0) -> None:
+        """Append one ``(k, n)`` block to rows ``start .. start + k``.
 
-    def read_chunk(self, n: int) -> np.ndarray:
-        """Pop the next ``n`` values as a float32 array (FIFO order)."""
-        if len(self) < n:
-            raise RuntimeSimError(
-                f"read from empty channel {self.channel.name}: interpreted "
-                "kernels must be run producer-first"
-            )
-        out = np.array(
-            self._items[self._head : self._head + n], dtype=_F32
-        )
-        self._head += n
-        self._compact()
-        return out
+        A 1-D array is one row's chunk.  Element order within a row is
+        preserved; the block is copied, so callers may reuse it.
+        """
+        block = np.array(values, dtype=_F32, ndmin=2)
+        for fifo, row in zip(self._fifos[start:], block):
+            fifo.push(row)
+
+    def read_chunk(
+        self, n: int, start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """Pop the next ``n`` values of rows ``start .. stop`` (FIFO order).
+
+        Returns a ``(stop - start, n)`` float32 array.
+        """
+        fifos = self._fifos[start:stop]
+        if any(f.size < n for f in fifos):
+            raise self._empty()
+        if len(fifos) == 1:
+            return fifos[0].pop(n)[None]
+        return np.stack([f.pop(n) for f in fifos])
 
 
 class Interpreter:
@@ -103,8 +176,10 @@ class Interpreter:
     ----------
     buffers:
         Maps buffer *name* -> 1-D ``np.ndarray`` backing store (flat,
-        row-major).  Must contain an entry for every global buffer in the
-        kernel signature; local/register buffers are allocated on demand.
+        row-major), or a one-row ``(1, n)`` array — a row view of a
+        batched buffer.  Must contain an entry for every global buffer in
+        the kernel signature; local/register buffers are allocated on
+        demand.
     bindings:
         Values for the kernel's symbolic scalar arguments (parameterized
         kernels).
@@ -131,7 +206,7 @@ class Interpreter:
                     n = buf.num_elements()
                     if n is None:
                         n = self._symbolic_numel(buf)
-                    self.buffers[buf.name] = np.zeros(n, dtype=_F32)
+                    self.buffers[buf.name] = self._alloc(n)
                     continue
                 raise RuntimeSimError(f"missing buffer {buf.name}")
         # bindings may come from an alpha-equivalent schedule build when
@@ -172,7 +247,7 @@ class Interpreter:
             for d in s.buffer.shape:
                 n *= int(self._eval(d if isinstance(d, _e.Expr) else _e.IntImm(d)))
             # fresh allocation per entry (loop bodies re-allocate)
-            self.buffers[s.buffer.name] = np.zeros(n, dtype=_F32)
+            self.buffers[s.buffer.name] = self._alloc(n)
             self._exec(s.body)
         elif isinstance(s, _s.AttrStmt):
             self._exec(s.body)
@@ -259,10 +334,21 @@ class Interpreter:
         return n
 
     # ------------------------------------------------------------------
+    def _alloc(self, n: int) -> np.ndarray:
+        """Fresh zeroed storage for a kernel-local buffer."""
+        return np.zeros(n, dtype=_F32)
+
     def _storage(self, buffer: Buffer) -> np.ndarray:
         arr = self.buffers.get(buffer.name)
         if arr is None:
             raise RuntimeSimError(f"buffer {buffer.name} has no storage")
+        if arr.ndim == 2:
+            if arr.shape[0] != 1:
+                raise RuntimeSimError(
+                    f"buffer {buffer.name} holds {arr.shape[0]} rows; the "
+                    "scalar interpreter runs one image at a time"
+                )
+            return arr[0]
         return arr
 
     def _channel(self, ch: Channel) -> ChannelState:

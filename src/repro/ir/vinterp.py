@@ -42,6 +42,23 @@ construction it cannot fail after phase A passed.
 Every band attempt is recorded in :attr:`VectorizedInterpreter.events`
 (kind ``"vectorized"`` or ``"fallback"`` plus a reason), so tests can
 prove that each shipped kernel either vectorizes or falls back cleanly.
+
+The batch axis
+--------------
+One interpreter runs ``rows`` independent images at once.  A per-image
+buffer is a row-major ``(rows, n)`` array; a 1-D buffer (weights, bias)
+is shared by every row and read-only when ``rows > 1``.  Phase A runs
+once per band for all rows: its index arrays depend only on loop
+variables and scalar bindings, which every row shares.  Phase B gathers
+``arr[:, idx]``, scatters ``arr[:, flat_idx]`` and folds reductions per
+``(row, lane)`` in the same left-to-right order, so each row is
+bit-identical to running that image alone.  Phase B walks the rows in
+chunks of at most :data:`ROW_CHUNK_ELEMENTS` band elements, which keeps
+transient memory at one large band's worth however big the batch is.
+A band that falls back runs the scalar loop once per row, on row views
+(channels keep one FIFO per row, see
+:class:`~repro.ir.interp.ChannelState`).  A single image is simply
+``rows == 1``; 1-D buffers then double as that row's storage.
 """
 
 from __future__ import annotations
@@ -64,6 +81,13 @@ __all__ = ["VectorizedInterpreter", "BandEvent", "run_kernel_vectorized"]
 #: bands would materialize multi-GB index arrays; the loop above the limit
 #: runs as a Python loop and the loops below it vectorize instead.
 BAND_SIZE_LIMIT = 1 << 22
+
+#: Phase-B element budget per row chunk: a band of ``w`` elements per
+#: image executes ``max(1, ROW_CHUNK_ELEMENTS // w)`` rows per array op.
+#: Sized just above LeNet-5 conv2's 104,544-element reduce band, so the
+#: largest serving band still runs one image at a time and batching adds
+#: no transient memory over a single-image run.
+ROW_CHUNK_ELEMENTS = 1 << 17
 
 
 class _Fallback(Exception):
@@ -89,13 +113,13 @@ class _Axis(NamedTuple):
 
 
 class _Private(NamedTuple):
-    """A buffer allocated inside the band, expanded to one copy per lane."""
+    """A buffer allocated inside the band, expanded to one copy per lane
+    (phase B allocates the storage, per row chunk)."""
 
     buffer: Buffer
     numel: int
     prefix: Tuple[_Axis, ...]  # loop path at the allocation point
     lane_count: int
-    data: np.ndarray
 
 
 def _to_f32(x):
@@ -117,8 +141,8 @@ class _Leaf:
 
     __slots__ = (
         "stmt", "path", "shape", "numel", "kind", "flat_idx", "lanes",
-        "perm", "red_k", "red_op", "update", "target", "access", "env",
-        "reads_channels",
+        "perm", "perm_rows", "red_k", "red_op", "update", "target", "access",
+        "env", "reads_channels",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -130,6 +154,7 @@ class _Leaf:
         self.flat_idx: Optional[np.ndarray] = None
         self.lanes: Optional[np.ndarray] = None
         self.perm: Tuple[int, ...] = ()
+        self.perm_rows: Tuple[int, ...] = ()
         self.red_k = 0
         self.red_op: Optional[type] = None
         self.update: Optional[_e.Expr] = None
@@ -155,6 +180,13 @@ class _BandPlan:
         self.root = root
         self.leaves: List[_Leaf] = []
         self.privates: Dict[str, _Private] = {}
+        #: largest per-image element count of any leaf or private buffer
+        self.width = 1
+        # phase B's current row chunk, its private storage, and the last
+        # lane of every private buffer per chunk
+        self._rows = (0, 0)
+        self._data: Dict[str, np.ndarray] = {}
+        self._last: Dict[str, List[np.ndarray]] = {}
         self._collect(root, ())
         self._check_cross_leaf()
 
@@ -182,10 +214,8 @@ class _BandPlan:
             lane_count = math.prod(ax.extent for ax in path)
             if lane_count * numel > BAND_SIZE_LIMIT:
                 raise _Fallback("privatized allocation exceeds size limit")
-            self.privates[name] = _Private(
-                s.buffer, numel, path, lane_count,
-                np.zeros(lane_count * numel, dtype=_F32),
-            )
+            self.privates[name] = _Private(s.buffer, numel, path, lane_count)
+            self.width = max(self.width, lane_count * numel)
             self._collect(s.body, path)
         elif isinstance(s, (_s.Store, _s.ChannelWrite, _s.Evaluate)):
             self._add_leaf(s, path)
@@ -208,6 +238,7 @@ class _BandPlan:
         leaf = _Leaf(s, path)
         if leaf.numel > BAND_SIZE_LIMIT:
             raise _Fallback("band exceeds vector size limit")
+        self.width = max(self.width, leaf.numel)
         checker = _LeafChecker(self, leaf)
         if isinstance(s, _s.Store):
             checker.classify_store()
@@ -260,57 +291,118 @@ class _BandPlan:
 
     # -- phase B --------------------------------------------------------
     def execute(self) -> None:
-        for leaf in self.leaves:
-            ev = _VecEval(self, leaf)
-            s = leaf.stmt
-            if leaf.kind == "parallel":
-                arr = self._storage(s.buffer)
-                val = ev.eval(s.value)
-                if arr.dtype == _F32:
-                    val = _to_f32(val)
-                arr[leaf.flat_idx] = np.broadcast_to(val, leaf.shape).ravel()
-            elif leaf.kind == "reduce":
-                arr = self._storage(s.buffer)
-                val = ev.eval(leaf.update)
-                if arr.dtype == _F32:
-                    val = _to_f32(val)
-                lanes = leaf.lanes
-                vals = (
-                    np.broadcast_to(val, leaf.shape)
-                    .transpose(leaf.perm)
-                    .reshape(lanes.size, leaf.red_k)
-                )
-                init = arr[lanes].reshape(lanes.size, 1)
-                chain = np.concatenate([init, vals], axis=1)
-                if leaf.red_op is _e.Add:
-                    folded = np.add.accumulate(chain, axis=1, dtype=arr.dtype)
-                elif leaf.red_op is _e.Max:
-                    folded = np.maximum.accumulate(chain, axis=1)
-                else:
-                    folded = np.minimum.accumulate(chain, axis=1)
-                arr[lanes] = folded[:, -1]
-            elif leaf.kind == "chanwrite":
-                state = self.it._channel(s.channel)
-                val = _to_f32(ev.eval(s.value))
-                state.write_chunk(np.broadcast_to(val, leaf.shape).ravel())
-            else:  # 'eval': run for channel-pop side effects only
-                ev.eval(s.value)
+        """Run every leaf, one row chunk at a time."""
+        rows = self.it.rows
+        step = max(1, ROW_CHUNK_ELEMENTS // self.width)
+        for r0 in range(0, rows, step):
+            n = min(rows - r0, step)
+            lead = (n,) if n > 1 else ()
+            self._rows = (r0, r0 + n)
+            if self.privates:
+                self._data = {
+                    name: np.zeros(lead + (pb.lane_count * pb.numel,), _F32)
+                    for name, pb in self.privates.items()
+                }
+            for leaf in self.leaves:
+                self._run_leaf(leaf, lead)
+            for name, pb in self.privates.items():
+                if pb.lane_count > 0:
+                    start = (pb.lane_count - 1) * pb.numel
+                    self._last.setdefault(name, []).append(
+                        self._data[name][..., start : start + pb.numel].copy()
+                    )
         # Scalar semantics leave the last iteration's allocation visible in
         # the buffer map after the band; reproduce that so post-run buffer
         # inspection (and the soundness tests) see identical state.
-        for name, pb in self.privates.items():
-            if pb.lane_count > 0:
-                start = (pb.lane_count - 1) * pb.numel
-                self.it.buffers[name] = pb.data[start : start + pb.numel].copy()
+        for name, parts in self._last.items():
+            self.it.buffers[name] = parts[0] if len(parts) == 1 else (
+                np.concatenate([np.atleast_2d(p) for p in parts])
+            )
+
+    def _run_leaf(self, leaf: _Leaf, lead: Tuple[int, ...]) -> None:
+        """One leaf over the current row chunk.
+
+        ``lead`` is ``(n,)`` for an ``n``-row chunk and ``()`` for one
+        row: values carry a leading row axis only in multi-row chunks, so
+        a one-row chunk computes exactly what a single image does.
+        """
+        ev = _VecEval(self, leaf)
+        s = leaf.stmt
+        shape = lead + leaf.shape
+        if leaf.kind == "parallel":
+            arr = self._storage(s.buffer)
+            val = ev.eval(s.value)
+            if arr.dtype == _F32:
+                val = _to_f32(val)
+            _scatter(arr, leaf.flat_idx,
+                     np.broadcast_to(val, shape).reshape(lead + (-1,)))
+        elif leaf.kind == "reduce":
+            arr = self._storage(s.buffer)
+            val = ev.eval(leaf.update)
+            if arr.dtype == _F32:
+                val = _to_f32(val)
+            lanes = leaf.lanes
+            chains = math.prod(lead) * lanes.size  # one per (row, lane)
+            vals = (
+                np.broadcast_to(val, shape)
+                .transpose(leaf.perm_rows if lead else leaf.perm)
+                .reshape(chains, leaf.red_k)
+            )
+            init = _gather(arr, lanes, 1).reshape(chains, 1)
+            chain = np.concatenate([init, vals], axis=1)
+            if leaf.red_op is _e.Add:
+                folded = np.add.accumulate(chain, axis=1, dtype=arr.dtype)
+            elif leaf.red_op is _e.Max:
+                folded = np.maximum.accumulate(chain, axis=1)
+            else:
+                folded = np.minimum.accumulate(chain, axis=1)
+            _scatter(arr, lanes, folded[:, -1].reshape(lead + lanes.shape))
+        elif leaf.kind == "chanwrite":
+            state = self.it._channel(s.channel)
+            val = _to_f32(ev.eval(s.value))
+            vals = np.broadcast_to(val, shape).reshape(lead + (-1,))
+            state.write_chunk(vals, self._rows[0])
+        else:  # 'eval': run for channel-pop side effects only
+            ev.eval(s.value)
 
     def _storage(self, buffer: Buffer) -> np.ndarray:
-        pb = self.privates.get(buffer.name)
-        if pb is not None:
-            return pb.data
+        """A buffer's storage for the current row chunk: ``(n, size)``,
+        or 1-D — the row itself when the chunk is one row, or a buffer
+        every row shares (phase A admits stores to the latter only in
+        single-row runs)."""
+        data = self._data.get(buffer.name)
+        if data is not None:
+            return data
         arr = self.it.buffers.get(buffer.name)
         if arr is None:  # phase A verified existence; defensive only
             raise RuntimeSimError(f"buffer {buffer.name} has no storage")
-        return arr
+        if arr.ndim == 1:
+            return arr
+        r0, r1 = self._rows
+        return arr[r0] if r1 - r0 == 1 else arr[r0:r1]
+
+
+def _gather(arr: np.ndarray, idx, rank: int) -> np.ndarray:
+    """Elements ``idx`` of every row of a chunk's storage.
+
+    ``idx`` is a scalar or an array of the leaf's full ``rank``.  A 1-D
+    storage (one row, or shared by all rows) yields ``idx``'s shape,
+    which broadcasts against row-carrying operands; a ``(n, size)`` chunk
+    yields ``(n, *idx.shape)`` with the row axis leading.
+    """
+    if arr.ndim == 1:
+        return arr[idx]
+    out = arr[:, idx]
+    return out if np.ndim(idx) == rank else out.reshape((-1,) + (1,) * rank)
+
+
+def _scatter(arr: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """Store ``(n, k)`` values (``(k,)`` for 1-D storage) at ``idx`` of
+    every row of a chunk."""
+    if arr.ndim == 1:
+        arr[idx] = vals
+    else:
+        arr[:, idx] = vals
 
 
 def _loaded_buffers(s: _s.Stmt) -> List[str]:
@@ -401,7 +493,7 @@ class _LeafChecker:
             store = self.plan.it.buffers.get(buffer.name)
             if store is None:
                 raise _Fallback(f"buffer {buffer.name} has no storage")
-            if arr.size and arr.max() >= store.size:
+            if arr.size and arr.max() >= store.shape[-1]:
                 raise _Fallback("index out of bounds")
         self.leaf.access[id(node)] = idx
         return np.asarray(idx)
@@ -419,6 +511,13 @@ class _LeafChecker:
         idx = self._check_access(s, s.index)
         self.walk(s.value, in_select=False)
         self.leaf.target = s.buffer.name
+        shared = self.plan.it.buffers.get(s.buffer.name)
+        if (s.buffer.name not in self.plan.privates and shared.ndim == 1
+                and self.plan.it.rows > 1):
+            raise RuntimeSimError(
+                f"store to buffer {s.buffer.name}, which every row of a "
+                f"{self.plan.it.rows}-row batch shares"
+            )
         self_loads = [ld for ld in self.loads if ld.buffer.name == s.buffer.name]
         eff = self.leaf.access[id(s)]  # effective index (private base added)
         if not self_loads:
@@ -458,7 +557,10 @@ class _LeafChecker:
             raise _Fallback("reduction lanes collide")
         self.leaf.kind = "reduce"
         self.leaf.lanes = lanes
+        # parallel lanes first, then the reduction axes (after the row
+        # axis in multi-row chunks)
         self.leaf.perm = tuple(par + red)
+        self.leaf.perm_rows = (0,) + tuple(j + 1 for j in par + red)
         self.leaf.red_k = math.prod(self.leaf.shape[j] for j in red) if red else 1
         self.leaf.red_op = type(v)
         self.leaf.update = v.b
@@ -495,10 +597,13 @@ class _VecEval:
             # miss the base, so a cache miss is a planning bug, not a path.
             idx = self.leaf.access[id(e)]
             arr = self.plan._storage(e.buffer)
-            return arr[idx]
+            return _gather(arr, idx, len(self.leaf.shape))
         if isinstance(e, _e.ChannelRead):
+            r0, r1 = self.plan._rows
             state = self.plan.it._channel(e.channel)
-            return state.read_chunk(self.leaf.numel).reshape(self.leaf.shape)
+            chunk = state.read_chunk(self.leaf.numel, r0, r1)
+            lead = (r1 - r0,) if r1 - r0 > 1 else ()
+            return chunk.reshape(lead + self.leaf.shape)
         if isinstance(e, _e._BinaryOp):
             return self._binop(e)
         if isinstance(e, _e.Not):
@@ -566,9 +671,12 @@ class VectorizedInterpreter(Interpreter):
     """Drop-in :class:`Interpreter` that executes loop bands as array ops.
 
     Same constructor and :meth:`run` contract as the scalar interpreter;
-    results are bit-identical in float32.  Per-band outcomes are recorded
-    in :attr:`events` so callers can audit what vectorized and why any
-    loop fell back.
+    results are bit-identical in float32.  :attr:`rows` images run at
+    once (see "The batch axis" above): the row count of the ``(rows, n)``
+    buffers and channel states passed in, or 1 when every buffer is 1-D.
+    Per-band outcomes are recorded in :attr:`events` — once for all rows,
+    except inside a fallback loop, which runs once per row — so callers
+    can audit what vectorized and why any loop fell back.
     """
 
     def __init__(
@@ -578,7 +686,24 @@ class VectorizedInterpreter(Interpreter):
         channels: Optional[Dict[str, ChannelState]] = None,
     ) -> None:
         super().__init__(buffers, bindings, channels)
+        self.rows = _rows_of(self.buffers, self.channels)
         self.events: List[BandEvent] = []
+        #: the batched interpreter this single-row view belongs to
+        self._parent: Optional[VectorizedInterpreter] = None
+        self._row = 0
+
+    def _alloc(self, n: int) -> np.ndarray:
+        return np.zeros((self.rows, n), dtype=_F32)
+
+    def _channel(self, ch) -> ChannelState:
+        st = self.channels.get(ch.name)
+        if st is None:
+            if self._parent is not None:
+                st = self._parent._channel(ch).row(self._row)
+            else:
+                st = ChannelState(ch, self.rows)
+            self.channels[ch.name] = st
+        return st
 
     def _exec(self, s: _s.Stmt) -> None:
         if isinstance(s, _s.For):
@@ -590,14 +715,44 @@ class VectorizedInterpreter(Interpreter):
                     BandEvent("fallback", s.loop_var.name, fb.reason)
                 )
             # scalar loop at this level; inner loops re-try vectorization
-            extent = int(self._eval(s.extent))
-            var = s.loop_var
-            for i in range(extent):
-                self.env[var] = i
-                self._exec(s.body)
-            self.env.pop(var, None)
+            self._per_row(VectorizedInterpreter._scalar_loop, s)
+        elif self.rows > 1 and not isinstance(
+            s, (_s.SeqStmt, _s.AttrStmt, _s.Allocate)
+        ):
+            self._per_row(Interpreter._exec, s)
         else:
             super()._exec(s)
+
+    def _scalar_loop(self, s: _s.For) -> None:
+        extent = int(self._eval(s.extent))
+        var = s.loop_var
+        for i in range(extent):
+            self.env[var] = i
+            self._exec(s.body)
+        self.env.pop(var, None)
+
+    def _per_row(self, fn, s: _s.Stmt) -> None:
+        """Run ``fn(interp, s)`` once per row, on single-row views.
+
+        Buffers a row allocates stay in that row's view: they are scoped
+        to ``s`` and nothing after it reads them.
+        """
+        if self.rows == 1:
+            fn(self, s)
+            return
+        for b in range(self.rows):
+            fn(self._row_view(b), s)
+
+    def _row_view(self, b: int) -> "VectorizedInterpreter":
+        view = VectorizedInterpreter(
+            {k: a[b : b + 1] if a.ndim == 2 else a
+             for k, a in self.buffers.items()},
+            self.env,
+            {k: st.row(b) for k, st in self.channels.items()},
+        )
+        view.events = self.events
+        view._parent, view._row = self, b
+        return view
 
     def _exec_band(self, root: _s.For) -> None:
         plan = _BandPlan(self, root)  # phase A: may raise _Fallback
@@ -610,6 +765,17 @@ class VectorizedInterpreter(Interpreter):
         )
 
 
+def _rows_of(buffers: Dict[str, np.ndarray], channels) -> int:
+    """The batch size implied by ``(rows, n)`` buffers and channel states."""
+    rows = {a.shape[0] for a in buffers.values() if a.ndim == 2}
+    rows |= {st.rows for st in channels.values()}
+    if len(rows) > 1:
+        raise RuntimeSimError(
+            f"buffers and channels disagree on rows: {sorted(rows)}"
+        )
+    return rows.pop() if rows else 1
+
+
 def run_kernel_vectorized(
     kernel: Kernel,
     buffers: Dict[str, np.ndarray],
@@ -619,7 +785,8 @@ def run_kernel_vectorized(
     """Interpret one kernel invocation through the vectorized path.
 
     Buffers are mutated in place, exactly like :func:`repro.ir.run_kernel`;
-    returns the interpreter so callers can inspect :attr:`events`.
+    ``(rows, n)`` buffers run ``rows`` images in one pass.  Returns the
+    interpreter so callers can inspect :attr:`events`.
     """
     vi = VectorizedInterpreter(buffers, bindings, channels)
     vi.run(kernel)

@@ -137,6 +137,12 @@ def _bad_spec(out: TextIO, message: str) -> int:
     return 2
 
 
+def _too_many_fields(out: TextIO, spec: str, form: str) -> int:
+    """A spec with more ``:``-separated fields than ``form`` allows."""
+    return _bad_spec(out, f"spec {spec!r} has {spec.count(':') + 1} "
+                     f"fields; expected {form}")
+
+
 def trace_deployment(
     spec: str,
     out: TextIO = sys.stdout,
@@ -157,6 +163,8 @@ def trace_deployment(
     from repro.flow.stages import MODELS
 
     parts = spec.split(":")
+    if len(parts) > 3:
+        return _too_many_fields(out, spec, "NETWORK[:MODE[:BOARD]]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -311,6 +319,8 @@ def verify_deployment(
     from repro.verify import verify_build
 
     parts = spec.split(":")
+    if len(parts) > 2:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -371,6 +381,8 @@ def certify_deployment(
     from repro.verify import certify_build
 
     parts = spec.split(":")
+    if len(parts) > 2:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -449,6 +461,8 @@ def memory_deployment(
     from repro.verify.memory import check_memory, format_memory_plan
 
     parts = spec.split(":")
+    if len(parts) > 2:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -533,6 +547,8 @@ def advise_deployment(
     )
 
     parts = spec.split(":")
+    if len(parts) > 3:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD[:LEVEL]]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -607,6 +623,8 @@ def autofix_deployment(
     from repro.flow.stages import MODELS
 
     parts = spec.split(":")
+    if len(parts) > 2:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -667,6 +685,8 @@ def serve_demo(
     )
 
     parts = spec.split(":")
+    if len(parts) > 3:
+        return _too_many_fields(out, spec, "NETWORK[:BOARD[:REPLICAS]]")
     network = parts[0]
     if network not in MODELS:
         return _bad_spec(out, f"unknown network {network!r}; "
@@ -681,6 +701,12 @@ def serve_demo(
     except ValueError:
         return _bad_spec(
             out, f"replica count {parts[2]!r} is not an integer")
+    if n_replicas < 1:
+        return _bad_spec(
+            out, f"replica count {n_replicas} must be at least 1")
+    if n_requests < 1:
+        return _bad_spec(
+            out, f"--requests {n_requests} must be at least 1")
 
     replicas = provision_replicas(network, board, n_replicas)
     per_image_us = replicas[0].service_us(1)
@@ -862,8 +888,7 @@ def main(out: TextIO = sys.stdout, argv: Optional[List[str]] = None) -> int:
             try:
                 n_requests = int(rest[rest.index("--requests") + 1])
             except (IndexError, ValueError):
-                out.write(USAGE)
-                return 2
+                return _bad_spec(out, "--requests needs an integer count")
         chaos = None
         if "--chaos" in rest:
             try:

@@ -5,6 +5,12 @@ step ("A real image is used to validate the implementation once"): the
 *generated kernels themselves* are executed — channel FIFOs, symbolic
 bindings and all — and their outputs compared against the NumPy reference.
 
+Both entry points take one image or a batch with a leading batch axis
+``(B, *input)``.  A batch runs as one vectorized-interpreter pass per
+kernel invocation — each loop band is planned once for all ``B`` images —
+and every row is bit-identical to running that image alone; a single
+image is the ``B == 1`` case of the same path.
+
 The interpreter is Python-slow, so full-size MobileNet/ResNet runs are
 impractical; tests exercise LeNet and reduced networks end-to-end, which
 covers every kernel species the large networks use.
@@ -71,6 +77,44 @@ def _weights_for(prefix: str, fn, params: Params, bufs: Dict[str, np.ndarray]) -
         bufs[f"{prefix}_shift"] = shift
 
 
+def _as_rows(x: np.ndarray, fused: FusedGraph) -> Tuple[np.ndarray, bool]:
+    """``x`` as ``(B, n)`` float32 rows, and whether it was one image.
+
+    ``x`` is one image of the graph's input shape, or a batch of them
+    with a leading batch axis ``(B, *input)``.
+    """
+    in_shape = tuple(fused.graph.input.out_shape)
+    x = np.ascontiguousarray(x, np.float32)
+    single = x.ndim != len(in_shape) + 1
+    batch = 1 if single else x.shape[0]
+    if batch < 1 or x.size != batch * _numel(in_shape):
+        raise RuntimeSimError(
+            f"input of shape {x.shape} is neither one {in_shape} image "
+            f"nor a non-empty batch of them"
+        )
+    return x.reshape(batch, -1), single
+
+
+def _run_rows(run, program, plan, fused, x, params, interp, events):
+    """Run ``run(cls, program, plan, fused, rows, params, events)`` under
+    the public batch contract.
+
+    The vectorized interpreter takes the whole ``(B, n)`` batch in one
+    pass; the scalar ground truth interprets one image per pass.  A
+    single image comes back as 1-D logits, a batch as ``(B, n)``.
+    """
+    cls = _interpreter_class(interp)
+    rows, single = _as_rows(x, fused)
+    if cls is VectorizedInterpreter:
+        out = run(cls, program, plan, fused, rows, params, events)
+    else:
+        out = np.concatenate([
+            run(cls, program, plan, fused, rows[b : b + 1], params, events)
+            for b in range(rows.shape[0])
+        ])
+    return out[0] if single else out
+
+
 def run_pipelined_functional(
     program,
     plan: PipelinePlan,
@@ -80,45 +124,22 @@ def run_pipelined_functional(
     interp: str = "auto",
     events: Optional[List[Tuple[str, object]]] = None,
 ) -> np.ndarray:
-    """Interpret a pipelined program on one input image.
+    """Interpret a pipelined program on one input image or a batch.
 
-    Kernels run producer-first with shared channel state (functionally
-    equivalent to the concurrent execution the hardware performs, since
-    channels are FIFOs).  ``interp`` selects the vectorized (default) or
-    scalar interpreter; both produce bit-identical float32 results.
-    When ``events`` is a list and the vectorized interpreter runs, it
-    receives ``(kernel_name, BandEvent)`` pairs for fallback auditing.
+    ``x`` is one image of the graph's input shape (returns 1-D logits)
+    or a ``(B, *input)`` batch (returns ``(B, n)``, every row
+    bit-identical to running that image alone).  Kernels run
+    producer-first with shared channel state (functionally equivalent
+    to the concurrent execution the hardware performs, since channels
+    are FIFOs — one per image).  ``interp`` selects the vectorized
+    (default) or scalar interpreter; both produce bit-identical float32
+    results.  When ``events`` is a list and the vectorized interpreter
+    runs, it receives ``(kernel_name, BandEvent)`` pairs for fallback
+    auditing (one per band for the whole batch; see
+    :class:`~repro.ir.vinterp.VectorizedInterpreter`).
     """
-    cls = _interpreter_class(interp)
-    nodes = list(fused)
-    if len(nodes) != len(plan.stages):
-        raise RuntimeSimError("plan/graph stage mismatch")
-    buffers: Dict[str, np.ndarray] = {}
-    channels: Dict[str, ChannelState] = {}
-
-    # network input feeds the first kernel's input tensor
-    first = nodes[0]
-    buffers[f"{first.name}_in"] = np.ascontiguousarray(x, np.float32).ravel()
-
-    for fn, stage in zip(nodes, plan.stages):
-        kernel = program.kernel(stage.kernel_name)
-        _weights_for(fn.name, fn, params, buffers)
-        if not stage.channel_in and fn is not first:
-            # global-memory handoff: previous output becomes this input
-            prev_out = nodes[nodes.index(fn) - 1]
-            src = _output_name(prev_out)
-            buffers[f"{fn.name}_in"] = buffers[src]
-        if kernel.output_buffer is not None and kernel.output_buffer not in buffers:
-            n = _numel(fn.out_shape)
-            buffers[kernel.output_buffer] = np.zeros(n, np.float32)
-        it = cls(buffers, channels=channels)
-        it.run(kernel)
-        _drain_events(it, kernel.name, events)
-
-    out_kernel = program.kernel(plan.stages[-1].kernel_name)
-    assert out_kernel.output_buffer is not None
-    n = _numel(nodes[-1].out_shape)
-    return buffers[out_kernel.output_buffer][:n].copy()
+    return _run_rows(_pipelined, program, plan, fused, x, params, interp,
+                     events)
 
 
 def run_folded_functional(
@@ -132,35 +153,75 @@ def run_folded_functional(
 ) -> np.ndarray:
     """Interpret a folded program layer-invocation by layer-invocation.
 
-    When the plan carries a certified ``memory`` arena
-    (:class:`repro.verify.memory.MemoryPlan`), activations live in
-    views of one shared float32 array at their assigned offsets — the
-    deployment allocates the arena, not one buffer per activation.
-    Zero-filling a slot before its defining invocation is bit-identical
-    to allocating a fresh zeroed buffer: the RM001 proof is exactly the
-    statement that no still-needed value shares those bytes.
+    Takes one image or a ``(B, *input)`` batch, exactly like
+    :func:`run_pipelined_functional`.  When the plan carries a certified
+    ``memory`` arena (:class:`repro.verify.memory.MemoryPlan`),
+    activations live in views of one shared ``(B, arena_len)`` float32
+    array at their assigned offsets, one row per image — the deployment
+    allocates the arena, not one buffer per activation.  Zero-filling a
+    slot before its defining invocation is bit-identical to allocating a
+    fresh zeroed buffer: the RM001 proof is exactly the statement that
+    no still-needed value shares those bytes.
     """
-    cls = _interpreter_class(interp)
+    return _run_rows(_folded, program, plan, fused, x, params, interp,
+                     events)
+
+
+def _pipelined(cls, program, plan, fused, rows, params, events):
+    batch = rows.shape[0]
+    nodes = list(fused)
+    if len(nodes) != len(plan.stages):
+        raise RuntimeSimError("plan/graph stage mismatch")
+    buffers: Dict[str, np.ndarray] = {}
+    channels: Dict[str, ChannelState] = {}
+
+    # network input feeds the first kernel's input tensor
+    first = nodes[0]
+    buffers[f"{first.name}_in"] = rows
+
+    for fn, stage in zip(nodes, plan.stages):
+        kernel = program.kernel(stage.kernel_name)
+        _weights_for(fn.name, fn, params, buffers)
+        if not stage.channel_in and fn is not first:
+            # global-memory handoff: previous output becomes this input
+            prev_out = nodes[nodes.index(fn) - 1]
+            src = _output_name(prev_out)
+            buffers[f"{fn.name}_in"] = buffers[src]
+        if kernel.output_buffer is not None and kernel.output_buffer not in buffers:
+            n = _numel(fn.out_shape)
+            buffers[kernel.output_buffer] = np.zeros((batch, n), np.float32)
+        it = cls(buffers, channels=channels)
+        it.run(kernel)
+        _drain_events(it, kernel.name, events)
+
+    out_kernel = program.kernel(plan.stages[-1].kernel_name)
+    assert out_kernel.output_buffer is not None
+    n = _numel(nodes[-1].out_shape)
+    return buffers[out_kernel.output_buffer][:, :n].copy()
+
+
+def _folded(cls, program, plan, fused, rows, params, events):
+    batch = rows.shape[0]
     memory = getattr(plan, "memory", None)
     arena = (
-        np.zeros(memory.arena_bytes // 4, np.float32)
+        np.zeros((batch, memory.arena_bytes // 4), np.float32)
         if memory is not None else None
     )
 
     def _slot(name: str, n: int) -> np.ndarray:
-        """Fresh zeroed storage for a value: its arena view, or a
-        private buffer when the plan carries no (or a partial) arena."""
+        """Fresh zeroed ``(B, n)`` storage for a value: its arena view, or
+        a private buffer when the plan carries no (or a partial) arena."""
         if arena is not None and name in memory.offsets:
-            view = arena[memory.offsets[name] // 4:][:n]
-            if view.size == n:
+            off = memory.offsets[name] // 4
+            view = arena[:, off : off + n]
+            if view.shape[1] == n:
                 view[:] = 0.0
                 return view
-        return np.zeros(n, np.float32)
+        return np.zeros((batch, n), np.float32)
 
-    x_flat = np.ascontiguousarray(x, np.float32).ravel()
     in_name = fused.graph.input.name
-    x_slot = _slot(in_name, x_flat.size)
-    x_slot[:] = x_flat
+    x_slot = _slot(in_name, rows.shape[1])
+    x_slot[:] = rows
     values: Dict[str, np.ndarray] = {in_name: x_slot}
     node_of = {fn.name: fn for fn in fused}
     last = None

@@ -19,7 +19,7 @@ refill path of the health lifecycle (:mod:`repro.serve.lifecycle`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,23 +64,66 @@ class LogitsCache:
 
     Replicas of one network share parameters (``init_params(seed=0)``),
     so their logits are identical — computing each distinct input once
-    keeps functional verification affordable at serving scale.
+    keeps functional verification affordable at serving scale.  The memo
+    holds at most :attr:`capacity` inputs and evicts the oldest entry
+    first, so a long-running server's memory stays bounded.
     """
 
+    #: most inputs kept; well above the distinct inputs of one replay
+    capacity = 256
+
     def __init__(self) -> None:
-        self._store: Dict[str, np.ndarray] = {}
+        self._store: Dict[str, Optional[np.ndarray]] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(self, network: str, x: np.ndarray, compute) -> np.ndarray:
-        key = f"{network}:{input_fingerprint(x)}"
-        if key in self._store:
-            self.hits += 1
-            return self._store[key]
-        self.misses += 1
-        y = compute(x)
+    def __len__(self) -> int:
+        return len(self._store)
+
+    def get_batch(
+        self, network: str, xs: Sequence[np.ndarray], compute
+    ) -> List[np.ndarray]:
+        """Logits for every input of ``xs``, in order.
+
+        Counts exactly as looking the inputs up one by one would: an
+        input seen earlier in the same batch is a hit.  The distinct
+        misses run through ``compute`` — which maps a ``(B, *input)``
+        batch to ``(B, *output)`` logits — in one call.
+        """
+        out: List[Optional[np.ndarray]] = []
+        pending: Dict[str, List[int]] = {}
+        for i, x in enumerate(xs):
+            key = f"{network}:{input_fingerprint(x)}"
+            if key in self._store:
+                self.hits += 1
+                y = self._store[key]
+                if y is None:  # a miss earlier in this batch
+                    pending[key].append(i)
+            else:
+                self.misses += 1
+                y = None
+                self._put(key, None)  # reserve the slot, as one-by-one would
+                pending.setdefault(key, []).append(i)
+            out.append(y)
+        if pending:
+            try:
+                ys = compute(np.stack([xs[at[0]] for at in pending.values()]))
+            except BaseException:
+                for key in pending:  # drop this batch's reservations
+                    if key in self._store and self._store[key] is None:
+                        del self._store[key]
+                raise
+            for (key, at), y in zip(pending.items(), ys):
+                if key in self._store:
+                    self._store[key] = y
+                for i in at:
+                    out[i] = y
+        return out
+
+    def _put(self, key: str, y: Optional[np.ndarray]) -> None:
+        while len(self._store) >= self.capacity:
+            del self._store[next(iter(self._store))]
         self._store[key] = y
-        return y
 
 
 @dataclass
@@ -117,21 +160,25 @@ class Replica:
         return result.time_per_image_us * batch
 
     # -- numerics --------------------------------------------------------
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Functional inference on this replica's rung.
+    def forward_batch(self, xs: np.ndarray) -> np.ndarray:
+        """Functional inference of a ``(B, *input)`` batch on this rung.
 
         Device rungs execute the *generated kernels* through the
         vectorized interpreter (:meth:`Deployment.forward_functional`),
-        so serving numerics exercise the same compiled program the
-        timing model charges for; the CPU rung runs the NumPy executor.
+        one interpreter pass per kernel for the whole batch, so serving
+        numerics exercise the same compiled program the timing model
+        charges for; the CPU rung runs the NumPy executor image by image.
         """
         if self.rung == "cpu":
             if self._cpu_fused is None:
                 graph = MODELS[self.network]()
                 self._cpu_fused = fuse_operators(graph)
                 self._cpu_params = init_params(graph, seed=0)
-            return run_fused_graph(self._cpu_fused, x, self._cpu_params)
-        return self.deployment.forward_functional(x)
+            return np.stack([
+                run_fused_graph(self._cpu_fused, x, self._cpu_params)
+                for x in xs
+            ])
+        return self.deployment.forward_functional(xs)
 
     def __repr__(self) -> str:
         return (

@@ -7,10 +7,14 @@ compute exactly what the NumPy reference computes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.device import STRATIX10_SX
+from repro.device import ARRIA10, STRATIX10_SX
 from repro.flow import FoldedConfig, build_folded, build_pipelined
+from repro.flow.deploy import default_folded_config
 from repro.models import lenet5
+from repro.models.twins import TWINS
 from repro.relay import (
     GraphBuilder,
     fuse_operators,
@@ -122,3 +126,89 @@ class TestFoldedFunctional:
         out1 = run_folded_functional(p1, plan1, fused, x, params)
         out2 = run_folded_functional(p2, plan2, fused, x, params)
         assert np.allclose(out1, out2, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: one (B, *input) call == B stacked single-image calls
+
+
+#: seeded inputs per network; single-image logits are computed once each
+_POOL = 8
+_batch_builds = {}
+
+
+def _batch_build(network):
+    """(run, program, plan, fused, params, inputs, single-image logits)."""
+    if network not in _batch_builds:
+        if network == "lenet5":
+            graph = lenet5()
+            fused = fuse_operators(graph)
+            prog, plan = build_pipelined(fused, "tvm_autorun", STRATIX10_SX)
+            run = run_pipelined_functional
+        else:
+            graph = TWINS[network]()
+            fused = fuse_operators(graph)
+            prog, plan = build_folded(
+                fused, default_folded_config(network, ARRIA10), ARRIA10)
+            assert plan.memory is not None  # rows live in the (B, n) arena
+            run = run_folded_functional
+        params = init_params(graph, 0)
+        xs = np.random.default_rng(21).standard_normal(
+            (_POOL,) + tuple(graph.input.out_shape)).astype(np.float32)
+        singles = [run(prog, plan, fused, x, params) for x in xs]
+        _batch_builds[network] = (run, prog, plan, fused, params, xs, singles)
+    return _batch_builds[network]
+
+
+class TestBatchedFunctional:
+    @given(picks=st.lists(st.integers(0, _POOL - 1), min_size=1, max_size=8))
+    @settings(max_examples=10, deadline=None)
+    def test_lenet_pipelined_channels(self, picks):
+        self._check("lenet5", picks)
+
+    @pytest.mark.parametrize("network", sorted(TWINS))
+    @given(picks=st.lists(st.integers(0, _POOL - 1), min_size=1, max_size=8))
+    @settings(max_examples=2, deadline=None)
+    def test_twin_folded_arena(self, network, picks):
+        self._check(network, picks)
+
+    @staticmethod
+    def _check(network, picks):
+        run, prog, plan, fused, params, xs, singles = _batch_build(network)
+        out = run(prog, plan, fused, xs[picks], params)
+        assert out.shape == (len(picks), singles[0].size)
+        stacked = np.stack([singles[i] for i in picks])
+        assert out.tobytes() == stacked.tobytes()
+
+    def test_single_image_keeps_1d_logits(self):
+        run, prog, plan, fused, params, xs, singles = _batch_build("lenet5")
+        assert singles[0].shape == (10,)
+        one = run(prog, plan, fused, xs[:1], params)
+        assert one.shape == (1, 10)
+        assert one[0].tobytes() == singles[0].tobytes()
+
+    def test_scalar_interpreter_matches_batched(self):
+        # the scalar ground truth runs a batch image by image
+        graph = _mini_chain()
+        fused = fuse_operators(graph)
+        params = init_params(graph, 1)
+        prog, plan = build_pipelined(fused, "tvm_autorun", STRATIX10_SX)
+        xs = np.random.default_rng(3).standard_normal(
+            (3, 2, 10, 10)).astype(np.float32)
+        vec = run_pipelined_functional(prog, plan, fused, xs, params,
+                                       interp="vector")
+        scalar = run_pipelined_functional(prog, plan, fused, xs, params,
+                                          interp="scalar")
+        assert vec.shape == (3, 6)
+        assert vec.tobytes() == scalar.tobytes()
+
+    def test_bad_input_shape_raises(self):
+        from repro.errors import RuntimeSimError
+
+        run, prog, plan, fused, params, _, _ = _batch_build("lenet5")
+        with pytest.raises(RuntimeSimError, match="neither one"):
+            run(prog, plan, fused, np.zeros((2, 1, 27, 27), np.float32),
+                params)
+        with pytest.raises(RuntimeSimError, match="neither one"):
+            run(prog, plan, fused, np.zeros((0, 1, 28, 28), np.float32),
+                params)

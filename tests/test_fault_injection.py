@@ -103,6 +103,26 @@ class TestDegradationLadder:
         assert r.rung == "pipelined-concurrent"
 
 
+class TestBatchedBufferProbe:
+    """A batched forward pass probes the buffer site once per image."""
+
+    def test_probe_fires_per_image_in_batch_order(self):
+        dep = deploy_pipelined("lenet5", STRATIX10_SX, cache=False)
+        xs = np.random.default_rng(0).standard_normal(
+            (3, 1, 28, 28)).astype(np.float32)
+        clean = dep.forward_functional(xs)
+        with FaultPlan(Fault("buffer", "bitflip", times=1)) as plan:
+            first = dep.forward_functional(xs)
+        assert len(plan.fired) == 1
+        assert first[0].tobytes() != clean[0].tobytes()
+        assert first[1:].tobytes() == clean[1:].tobytes()
+        with FaultPlan(Fault("buffer", "bitflip", times=99)) as plan:
+            every = dep.forward_functional(xs)
+        assert len(plan.fired) == 3
+        assert all(every[b].tobytes() != clean[b].tobytes()
+                   for b in range(3))
+
+
 class TestNoPlanPurity:
     def test_no_fault_plan_means_no_events_and_stable_numbers(self):
         a = deploy_pipelined("lenet5", STRATIX10_SX, cache=False)

@@ -294,6 +294,27 @@ class TestServer:
         assert server.logits_cache.misses == 2
         assert server.logits_cache.hits == 8
 
+    def test_one_forward_pass_per_dispatched_batch(self):
+        trace = RequestTrace.burst("lenet5", 6, 0.0, LENET_SHAPE,
+                                   distinct_inputs=4)
+        server = lenet_server(max_batch=8)
+        calls = []
+        for rep in server.replicas:
+            forward = rep.forward_batch
+            rep.forward_batch = (
+                lambda xs, f=forward: calls.append(len(xs)) or f(xs)
+            )
+        result = server.run(trace)
+        assert result.metrics.batches == 1
+        assert calls == [4]  # the batch's distinct misses, in one call
+        assert server.logits_cache.misses == 4
+        assert server.logits_cache.hits == 2
+        # a batched response equals its image run alone, bit for bit
+        dep = server.replicas[0].deployment
+        for resp, req in zip(result.responses, trace):
+            assert resp.logits.tobytes() == \
+                dep.forward_functional(req.x).tobytes()
+
     def test_compute_logits_off(self):
         trace = RequestTrace.burst("lenet5", 4, 0.0, LENET_SHAPE)
         result = lenet_server(compute_logits=False).run(trace)
@@ -325,6 +346,78 @@ class TestServer:
             ServeConfig(max_batch=0)
         with pytest.raises(ReproError):
             Server([])
+
+
+class TestLogitsCacheBound:
+    """The memo is bounded: oldest entries go first, counters stay exact."""
+
+    @staticmethod
+    def _reference(keys, capacity):
+        """Hits/misses of one-by-one lookups in an oldest-first memo."""
+        store, hits, misses = [], 0, 0
+        for k in keys:
+            if k in store:
+                hits += 1
+            else:
+                misses += 1
+                if len(store) >= capacity:
+                    store.pop(0)
+                store.append(k)
+        return hits, misses
+
+    @staticmethod
+    def _images(n):
+        return [np.full(LENET_SHAPE, i, np.float32) for i in range(n)]
+
+    def test_stays_bounded_and_counts_like_one_by_one(self):
+        from repro.serve import LogitsCache
+
+        cache = LogitsCache()
+        cache.capacity = 3
+        images = self._images(6)
+        rng = np.random.default_rng(4)
+        keys = []
+        for _ in range(20):
+            batch = [int(i) for i in rng.integers(0, 6, rng.integers(1, 6))]
+            keys += batch
+            got = cache.get_batch(
+                "lenet5", [images[i] for i in batch],
+                lambda xs: xs.reshape(len(xs), -1)[:, :2] * 2.0,
+            )
+            for i, y in zip(batch, got):
+                assert np.array_equal(y, np.full(2, 2.0 * i, np.float32))
+            assert len(cache) <= cache.capacity
+        assert (cache.hits, cache.misses) == self._reference(keys, 3)
+
+    def test_evicts_oldest_first(self):
+        from repro.serve import LogitsCache
+
+        cache = LogitsCache()
+        cache.capacity = 2
+        images = self._images(3)
+        ident = lambda xs: xs.reshape(len(xs), -1)[:, :1]  # noqa: E731
+        cache.get_batch("lenet5", images[:2], ident)  # 2 misses
+        cache.get_batch("lenet5", images[2:], ident)  # evicts image 0
+        cache.get_batch("lenet5", images[1:2], ident)  # still cached
+        cache.get_batch("lenet5", images[:1], ident)  # recomputed
+        assert (cache.hits, cache.misses) == (1, 4)
+
+    def test_failed_compute_leaves_no_reservation(self):
+        from repro.serve import LogitsCache
+
+        cache = LogitsCache()
+
+        def boom(xs):
+            raise RuntimeError("device lost")
+
+        with pytest.raises(RuntimeError):
+            cache.get_batch("lenet5", self._images(2), boom)
+        assert len(cache) == 0
+
+    def test_capacity_covers_a_replay(self):
+        from repro.serve import LogitsCache
+
+        assert LogitsCache.capacity >= 128  # one replay's requests
 
 
 class TestOverload:
@@ -434,6 +527,28 @@ class TestServeReport:
         assert serve_demo("vgg16", io.StringIO()) == 2
         assert serve_demo("lenet5:BOGUS", io.StringIO()) == 2
         assert serve_demo("lenet5:S10SX:x", io.StringIO()) == 2
+
+    @staticmethod
+    def _cli(*argv):
+        from repro.report import main
+
+        out = io.StringIO()
+        return main(out, list(argv)), out.getvalue()
+
+    def test_cli_zero_replicas_is_a_named_error(self):
+        rc, text = self._cli("--serve", "lenet5:S10SX:0")
+        assert rc == 2
+        assert "replica count 0 must be at least 1" in text
+
+    def test_cli_negative_requests_is_a_named_error(self):
+        rc, text = self._cli("--serve", "lenet5:S10SX", "--requests", "-3")
+        assert rc == 2
+        assert "--requests -3 must be at least 1" in text
+
+    def test_cli_memory_extra_field_is_a_named_error(self):
+        rc, text = self._cli("--memory", "lenet5:S10SX:extra")
+        assert rc == 2
+        assert "has 3 fields; expected NETWORK[:BOARD]" in text
 
     def test_usage_lists_all_flags(self):
         from repro.report import USAGE

@@ -397,3 +397,133 @@ class TestInterpreterSelection:
         assert _interpreter_class("scalar") is ir.Interpreter
         with pytest.raises(RuntimeSimError):
             _interpreter_class("simd")
+
+
+# ---------------------------------------------------------------------------
+# the batch axis: a (B, n) run equals B stacked single-image runs, bitwise
+
+
+def _batched_vs_stacked(kern, rows, shared=None):
+    """Run ``kern`` once per image and once on the stacked batch.
+
+    ``rows`` holds one buffer dict per image; ``shared`` buffers (weights)
+    are 1-D and common to every row.  Every buffer the per-image runs end
+    with — scratch and allocations included — must equal the batched
+    run's rows byte for byte.  Returns the batched interpreter.
+    """
+    shared = shared or {}
+    singles = []
+    for bufs in rows:
+        one = {k: v.copy() for k, v in bufs.items()}
+        one.update({k: v.copy() for k, v in shared.items()})
+        run_kernel_vectorized(kern, one)
+        singles.append(one)
+    batch = {k: np.stack([b[k] for b in rows]) for k in rows[0]}
+    batch.update({k: v.copy() for k, v in shared.items()})
+    vi = run_kernel_vectorized(kern, batch)
+    assert vi.rows == len(rows)
+    for name in singles[0]:
+        if name in shared:
+            continue
+        stacked = np.stack([np.asarray(s[name]).reshape(-1) for s in singles])
+        assert batch[name].tobytes() == stacked.tobytes(), name
+    return vi
+
+
+class TestBatchAxis:
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**16),
+           licm=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_softmax_exp_intrinsic(self, b, seed, licm):
+        from repro.topi import softmax_kernel_licm, softmax_kernel_naive
+
+        build = softmax_kernel_licm if licm else softmax_kernel_naive
+        kern = build(10, "s", "k")
+        rng = np.random.default_rng(seed)
+        rows = [{"s_in": rng.standard_normal(10).astype(np.float32) * 4,
+                 "s_norm": np.zeros(10, np.float32)} for _ in range(b)]
+        _batched_vs_stacked(kern, rows)
+
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_conv_rows_share_weights(self, b, seed):
+        spec = ConvSpec(c1=3, h=9, w=9, k=4, f=3, s=1, bias=True,
+                        activation="relu")
+        _, out = conv2d_tensors(spec, "c")
+        kern = lower(schedule_conv2d_opt(out, ConvTiling(w2vec=7, c1vec=3)),
+                     "k")
+        rng = np.random.default_rng(seed)
+        shared = {
+            "c_w": rng.standard_normal(4 * 3 * 9).astype(np.float32),
+            "c_b": rng.standard_normal(4).astype(np.float32),
+        }
+        rows = [{"c_in": rng.standard_normal(3 * 81).astype(np.float32),
+                 "c": np.zeros(4 * spec.ho * spec.wo, np.float32)}
+                for _ in range(b)]
+        _batched_vs_stacked(kern, rows, shared)
+
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_scalar_fallback_runs_per_row(self, b, seed):
+        # Y[i] = X[i] > 0 ? 1 : 2 as an IfThenElse: data-dependent control
+        # flow falls back, and each row takes its own branches
+        x_buf, y_buf = ir.Buffer("X", (16,)), ir.Buffer("Y", (16,))
+        i = ir.Var("i")
+        body = ir.IfThenElse(
+            ir.GT(ir.Load(x_buf, i), ir.FloatImm(0.0)),
+            ir.Store(y_buf, i, ir.FloatImm(1.0)),
+            ir.Store(y_buf, i, ir.Load(x_buf, i) * ir.FloatImm(2.0)),
+        )
+        kern = ir.Kernel("k", [x_buf, y_buf], ir.For(i, ir.IntImm(16), body))
+        rng = np.random.default_rng(seed)
+        rows = [{"X": rng.standard_normal(16).astype(np.float32),
+                 "Y": np.zeros(16, np.float32)} for _ in range(b)]
+        vi = _batched_vs_stacked(kern, rows)
+        assert [e.kind for e in vi.events] == ["fallback"]
+
+    @given(b=st.integers(1, 8), seed=st.integers(0, 2**16))
+    @settings(max_examples=12, deadline=None)
+    def test_channel_fifos_are_per_row(self, b, seed):
+        ch = ir.Channel("c0")
+        a, out = ir.Buffer("a", (12,)), ir.Buffer("o", (12,))
+        i = ir.Var("i")
+        prod = ir.Kernel("p", [a], ir.For(
+            i, ir.IntImm(12), ir.ChannelWrite(ch, ir.Load(a, i) * 3.0)))
+        j = ir.Var("j")
+        cons = ir.Kernel("c", [out], ir.For(
+            j, ir.IntImm(12), ir.Store(out, j, ch.read() + 1.0)))
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((b, 12)).astype(np.float32)
+        channels = {}
+        batch = {"a": data.copy(), "o": np.zeros((b, 12), np.float32)}
+        run_kernel_vectorized(prod, batch, channels=channels)
+        assert len(channels["c0"]) == 12 and channels["c0"].rows == b
+        run_kernel_vectorized(cons, batch, channels=channels)
+        for r in range(b):
+            one = {"a": data[r].copy(), "o": np.zeros(12, np.float32)}
+            ir.run_program_sequential([prod, cons], one)
+            assert batch["o"][r].tobytes() == one["o"].tobytes()
+
+    def test_large_band_runs_in_row_chunks(self, monkeypatch):
+        import repro.ir.vinterp as vinterp
+
+        monkeypatch.setattr(vinterp, "ROW_CHUNK_ELEMENTS", 20)
+        rng = np.random.default_rng(1)
+        kern = lower(schedule_dense_opt(
+            dense_tensors(DenseSpec(n=8, m=3, bias=True), "d")[1], 2), "k")
+        shared = {"d_w": rng.standard_normal(24).astype(np.float32),
+                  "d_b": rng.standard_normal(3).astype(np.float32)}
+        rows = [{"d_in": rng.standard_normal(8).astype(np.float32),
+                 "d": np.zeros(3, np.float32)} for _ in range(5)]
+        _batched_vs_stacked(kern, rows, shared)
+
+    def test_store_to_shared_buffer_is_refused(self):
+        buf, src = ir.Buffer("A", (4,)), ir.Buffer("S", (4,))
+        i = ir.Var("i")
+        kern = ir.Kernel("k", [buf, src], ir.For(
+            i, ir.IntImm(4), ir.Store(buf, i, ir.Load(src, i))))
+        from repro.errors import RuntimeSimError
+
+        with pytest.raises(RuntimeSimError, match="shares"):
+            run_kernel_vectorized(kern, {"A": np.zeros(4, np.float32),
+                                         "S": np.ones((2, 4), np.float32)})
