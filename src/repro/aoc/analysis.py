@@ -109,6 +109,8 @@ class KernelAnalysis:
                 self.lsus.append(site.lsu)
         self._assign_dep_ii()
         self._assign_mem_ii()
+        #: FLOPs of the replicated (unrolled) datapath
+        self.spatial_flops = self._spatial_flops(kernel.body)
         self._cycles_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
 
     def __reduce__(self):
@@ -489,8 +491,7 @@ class KernelAnalysis:
     # spatial hardware
     def dsp_count(self) -> int:
         """DSPs: one per fused MAC in the replicated (unrolled) datapath."""
-        flops = self._spatial_flops(self.kernel.body)
-        return max(0, math.ceil(flops / 2 * self.c.dsp_per_mac))
+        return max(0, math.ceil(self.spatial_flops / 2 * self.c.dsp_per_mac))
 
     def _spatial_flops(self, s: _s.Stmt) -> int:
         if isinstance(s, _s.SeqStmt):
@@ -514,7 +515,7 @@ class KernelAnalysis:
     def is_pure_transform(self) -> bool:
         """True for kernels that move data without floating-point work
         (padding, flatten/transpose) — thesis's 'transform' kernels."""
-        return self._spatial_flops(self.kernel.body) == 0
+        return self.spatial_flops == 0
 
     def has_nonaligned_lsu(self) -> bool:
         return any(not l.aligned for l in self.lsus)

@@ -23,11 +23,12 @@ which is only sound under the dependence rules checked in phase A:
   only communicate lane-locally, in program order);
 * a store that reads its own buffer must match the reduction pattern the
   lowerer emits (``buf[i] = combine(buf[i], update)``) — it is folded
-  with ``np.add.accumulate`` (or ``maximum``/``minimum``), which applies
-  the combiner in exactly the scalar iteration order, keeping float32
-  results bit-identical (``np.sum``'s pairwise reduction would not be);
-* all other stores must hit pairwise-distinct addresses (checked with
-  ``np.unique``);
+  one reduction step at a time, in exactly the scalar iteration order,
+  keeping float32 results bit-identical (``np.sum``'s pairwise
+  reduction would not be; see :func:`_fold`);
+* all other stores, and the lanes of every reduction, must hit
+  pairwise-distinct addresses (checked in linear time by
+  :func:`_distinct`);
 * each channel is popped by at most one leaf and pushed by at most one
   leaf, never both in one band, and the FIFO must already hold the whole
   chunk a consumer needs.
@@ -89,6 +90,12 @@ BAND_SIZE_LIMIT = 1 << 22
 #: no transient memory over a single-image run.
 ROW_CHUNK_ELEMENTS = 1 << 17
 
+#: An Add reduction with at least this many ``(row, lane)`` chains folds
+#: one in-place ``np.add`` per reduction step; narrower ones, where the
+#: per-call overhead outweighs the work, run one ``np.add.accumulate``
+#: along the steps instead.  Both apply the same left-to-right fold.
+FOLD_STEP_MIN_CHAINS = 192
+
 
 class _Fallback(Exception):
     """Raised during planning when a band cannot be vectorized soundly."""
@@ -141,8 +148,8 @@ class _Leaf:
 
     __slots__ = (
         "stmt", "path", "shape", "numel", "kind", "flat_idx", "lanes",
-        "perm", "perm_rows", "red_k", "red_op", "update", "target", "access",
-        "env", "reads_channels",
+        "perm", "perm_rows", "nred", "red_op", "update", "target", "access",
+        "env", "reads", "reads_channels",
     )
 
     def __init__(self, stmt: _s.Stmt, path: Tuple[_Axis, ...]) -> None:
@@ -155,7 +162,7 @@ class _Leaf:
         self.lanes: Optional[np.ndarray] = None
         self.perm: Tuple[int, ...] = ()
         self.perm_rows: Tuple[int, ...] = ()
-        self.red_k = 0
+        self.nred = 0  # reduction axes, leading in perm
         self.red_op: Optional[type] = None
         self.update: Optional[_e.Expr] = None
         self.target: Optional[str] = None
@@ -169,6 +176,7 @@ class _Leaf:
             self.env[ax.var] = np.arange(
                 ax.extent, dtype=np.int64
             ).reshape(rshape)
+        self.reads: set = set()  # buffers the leaf loads
         self.reads_channels: List[str] = []
 
 
@@ -245,6 +253,7 @@ class _BandPlan:
         else:
             checker.walk(s.value, in_select=False)
             leaf.kind = "chanwrite" if isinstance(s, _s.ChannelWrite) else "eval"
+        leaf.reads = {ld.buffer.name for ld in checker.loads}
         leaf.reads_channels = sorted(checker.channel_reads)
         self.leaves.append(leaf)
 
@@ -257,7 +266,7 @@ class _BandPlan:
         for i, leaf in enumerate(self.leaves):
             if isinstance(leaf.stmt, _s.Store):
                 writers.setdefault(leaf.stmt.buffer.name, []).append(i)
-            for name in _loaded_buffers(leaf.stmt):
+            for name in leaf.reads:
                 readers.setdefault(name, []).append(i)
             for name in leaf.reads_channels:
                 chan_readers.setdefault(name, []).append(i)
@@ -342,21 +351,12 @@ class _BandPlan:
             if arr.dtype == _F32:
                 val = _to_f32(val)
             lanes = leaf.lanes
-            chains = math.prod(lead) * lanes.size  # one per (row, lane)
-            vals = (
-                np.broadcast_to(val, shape)
-                .transpose(leaf.perm_rows if lead else leaf.perm)
-                .reshape(chains, leaf.red_k)
-            )
-            init = _gather(arr, lanes, 1).reshape(chains, 1)
-            chain = np.concatenate([init, vals], axis=1)
-            if leaf.red_op is _e.Add:
-                folded = np.add.accumulate(chain, axis=1, dtype=arr.dtype)
-            elif leaf.red_op is _e.Max:
-                folded = np.maximum.accumulate(chain, axis=1)
-            else:
-                folded = np.minimum.accumulate(chain, axis=1)
-            _scatter(arr, lanes, folded[:, -1].reshape(lead + lanes.shape))
+            vals = np.broadcast_to(val, shape).transpose(
+                leaf.perm_rows if lead else leaf.perm
+            )  # reduction axes first, then (row, lane)
+            init = _gather(arr, lanes, 1).reshape(-1)  # one per (row, lane)
+            folded = _fold(leaf.red_op, init, vals, leaf.nred)
+            _scatter(arr, lanes, folded.reshape(lead + lanes.shape))
         elif leaf.kind == "chanwrite":
             state = self.it._channel(s.channel)
             val = _to_f32(ev.eval(s.value))
@@ -405,21 +405,60 @@ def _scatter(arr: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
         arr[:, idx] = vals
 
 
-def _loaded_buffers(s: _s.Stmt) -> List[str]:
-    names: List[str] = []
+def _distinct(idx: np.ndarray) -> bool:
+    """True when the non-negative integer indices ``idx`` are pairwise
+    distinct — ``np.unique(idx).size == idx.size`` in linear time.
 
-    def visit(e: _e.Expr) -> None:
-        if isinstance(e, _e.Load):
-            names.append(e.buffer.name)
-        for c in e.children():
-            visit(c)
+    Marks every index in a boolean array spanning ``[min, max]``, a range
+    phase A's bounds check has already confined to the buffer.
+    """
+    if idx.size < 2:
+        return True
+    lo, hi = int(idx.min()), int(idx.max())
+    if idx.size > hi - lo + 1:
+        return False  # more indices than addresses they can take
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    seen[idx - lo if lo else idx] = True
+    return int(np.count_nonzero(seen)) == idx.size
 
-    if isinstance(s, _s.Store):
-        visit(s.index)
-        visit(s.value)
-    else:
-        visit(s.value)
-    return names
+
+def _fold(op: type, acc: np.ndarray, vals: np.ndarray, nred: int) -> np.ndarray:
+    """Fold every reduction step of ``vals`` into the chain starts ``acc``.
+
+    ``vals``'s first ``nred`` axes are the reduction axes, in scalar loop
+    order; the rest enumerate ``acc.size`` chains, one per ``(row,
+    lane)``.  Each chain is combined left to right exactly like the
+    scalar interpreter's ``buf[i] = combine(buf[i], update)``, so float32
+    results are bit-identical:
+
+    * ``Add`` adds one step at a time in place over a reduction-major
+      copy of ``vals``.  Below :data:`FOLD_STEP_MIN_CHAINS` chains one
+      in-place ``np.add.accumulate`` along a ``(chains, 1 + steps)``
+      array that starts with ``acc`` is cheaper; it folds in the same
+      order.
+    * ``Max``/``Min`` take an update only where it compares strictly
+      greater/less than the running value, as Python's ``max``/``min``
+      do; ``np.maximum`` would propagate NaN updates and break ±0 ties
+      the other way.
+    """
+    chains = acc.size
+    steps = math.prod(vals.shape[:nred])
+    if op is _e.Add and chains < FOLD_STEP_MIN_CHAINS:
+        order = tuple(range(nred, vals.ndim)) + tuple(range(nred))
+        chain = np.empty((chains, steps + 1), acc.dtype)
+        chain[:, 0] = acc
+        chain[:, 1:] = vals.transpose(order).reshape(chains, steps)
+        np.add.accumulate(chain, axis=1, out=chain)
+        return chain[:, -1]
+    by_step = vals.reshape(steps, chains)
+    if op is _e.Add:
+        for step in by_step:
+            np.add(acc, step, out=acc)
+        return acc
+    better = np.greater if op is _e.Max else np.less
+    for step in by_step:
+        acc = np.where(better(step, acc), step, acc)
+    return acc
 
 
 class _LeafChecker:
@@ -524,7 +563,7 @@ class _LeafChecker:
             flat = np.broadcast_to(
                 np.asarray(eff), self.leaf.shape
             ).ravel().astype(np.int64, copy=False)
-            if flat.size and np.unique(flat).size != flat.size:
+            if not _distinct(flat):
                 raise _Fallback("overlapping parallel stores")
             self.leaf.kind = "parallel"
             self.leaf.flat_idx = flat
@@ -553,15 +592,17 @@ class _LeafChecker:
             raise _Fallback("allocation re-created inside reduction axes")
         sel = tuple(slice(None) if j in par else 0 for j in range(ndim))
         lanes = np.asarray(full[sel]).ravel().astype(np.int64, copy=False)
-        if lanes.size and np.unique(lanes).size != lanes.size:
+        if not _distinct(lanes):
             raise _Fallback("reduction lanes collide")
         self.leaf.kind = "reduce"
         self.leaf.lanes = lanes
-        # parallel lanes first, then the reduction axes (after the row
-        # axis in multi-row chunks)
-        self.leaf.perm = tuple(par + red)
-        self.leaf.perm_rows = (0,) + tuple(j + 1 for j in par + red)
-        self.leaf.red_k = math.prod(self.leaf.shape[j] for j in red) if red else 1
+        # reduction axes first, then the parallel lanes (with the row
+        # axis between them in multi-row chunks)
+        self.leaf.perm = tuple(red + par)
+        self.leaf.perm_rows = tuple(j + 1 for j in red) + (0,) + tuple(
+            j + 1 for j in par
+        )
+        self.leaf.nred = len(red)
         self.leaf.red_op = type(v)
         self.leaf.update = v.b
 
@@ -644,10 +685,14 @@ class _VecEval:
             return a // b
         if cls is _e.Mod:
             return a % b
-        if cls is _e.Min:
-            return np.minimum(a, b)
-        if cls is _e.Max:
-            return np.maximum(a, b)
+        if cls in (_e.Min, _e.Max):
+            if e.dtype != _e.FLOAT32:
+                return (np.minimum if cls is _e.Min else np.maximum)(a, b)
+            # Python's min/max, as in the scalar interpreter: keep ``a``
+            # unless ``b`` is strictly smaller/greater (NaN ``b`` and ±0
+            # ties keep ``a``, unlike np.minimum/np.maximum)
+            take_b = b < a if cls is _e.Min else b > a
+            return np.where(take_b, b, a)
         if cls is _e.LT:
             return a < b
         if cls is _e.LE:

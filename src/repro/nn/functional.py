@@ -7,7 +7,7 @@ single-image inference assumption).
 
 Implementations are vectorized with NumPy (no Python-level loops over
 pixels) per the HPC guide: convolutions use stride-tricks windowing +
-``einsum``.
+``tensordot`` (BLAS; depthwise uses ``einsum``).
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ def conv2d(
         )
     xp = pad2d(x, pad)
     win = _windows(xp, f, stride)  # (C1, Ho, Wo, F, F)
-    out = np.einsum("chwij,kcij->khw", win, weight, dtype=np.float32)
+    out = np.tensordot(weight, win, axes=([1, 2, 3], [0, 3, 4]))  # (K, Ho, Wo)
     if bias is not None:
         out = out + bias[:, None, None]
     return out.astype(_F32, copy=False)

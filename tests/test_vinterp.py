@@ -3,7 +3,7 @@
 The vectorized interpreter's contract (:mod:`repro.ir.vinterp`) is that
 every result is **bit-identical in float32** to the element-wise scalar
 interpreter — vectorization is a pure execution-speed transform, never a
-numerics change.  These tests pin that contract three ways:
+numerics change.  These tests pin that contract four ways:
 
 * a soundness matrix running every shipped network on every board
   (LeNet-5 at full size, MobileNetV1/ResNet-18 through their reduced
@@ -14,12 +14,15 @@ numerics change.  These tests pin that contract three ways:
 * fallback tests proving that constructs the vectorizer must refuse
   (data-dependent control flow, overlapping stores, non-reduction
   self-reads, indirect indexing) fall back to the scalar loop and still
-  produce identical results.
+  produce identical results;
+* fold and address-check tests: Add/Max/Min reductions over ±inf, ±0
+  and NaN in both fold forms, and the linear-time distinctness check
+  against ``np.unique``'s predicate.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro.ir as ir
@@ -527,3 +530,149 @@ class TestBatchAxis:
         with pytest.raises(RuntimeSimError, match="shares"):
             run_kernel_vectorized(kern, {"A": np.zeros(4, np.float32),
                                          "S": np.ones((2, 4), np.float32)})
+
+
+# ---------------------------------------------------------------------------
+# reduction folds and address checks
+
+
+_SPECIALS = np.array([np.inf, -np.inf, -0.0, 0.0, np.nan], np.float32)
+
+
+def _with_specials(rng, n):
+    """Standard normals with ±inf, ±0 and NaN mixed in."""
+    data = rng.standard_normal(n).astype(np.float32)
+    hit = rng.random(n) < 0.4
+    data[hit] = rng.choice(_SPECIALS, int(hit.sum()))
+    return data
+
+
+def _fold_kernel(op, lanes, red_k, red_outer):
+    """A[l] = op(A[l], X[l * red_k + r]) over lanes l and steps r."""
+    a, x = ir.Buffer("A", (lanes,)), ir.Buffer("X", (lanes * red_k,))
+    l, r = ir.Var("l"), ir.Var("r")
+    update = ir.Load(x, l * ir.IntImm(red_k) + r)
+    body = ir.Store(a, l, op(ir.Load(a, l), update))
+    outer, inner = ((r, red_k), (l, lanes)) if red_outer else (
+        (l, lanes), (r, red_k))
+    loop = ir.For(outer[0], ir.IntImm(outer[1]),
+                  ir.For(inner[0], ir.IntImm(inner[1]), body))
+    return ir.Kernel("k", [a, x], loop)
+
+
+def _bits(a, op):
+    """``a``'s bytes; for Add, every NaN first becomes one canonical NaN.
+
+    IEEE 754 leaves unspecified which NaN an add returns when both
+    operands are NaN, and NumPy's scalar and SIMD loops pick different
+    ones (``inf + -inf`` yields a negative NaN, ``np.nan`` is positive),
+    so NaN sign bits are outside the bit-identity contract for Add.  Max
+    and Min only ever select an operand, so they are compared raw.
+    """
+    if op is ir.Add:
+        a = np.where(np.isnan(a), np.float32(np.nan), a)
+    return a.tobytes()
+
+
+class TestReductionFold:
+    @pytest.mark.parametrize("step_min", [0, 1 << 30])  # step / prefix form
+    @pytest.mark.parametrize("red_outer", [False, True])
+    @pytest.mark.parametrize("red_k", [1, 64])
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    @pytest.mark.parametrize("op", [ir.Add, ir.Max, ir.Min])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_fold_matches_scalar_with_specials(
+        self, monkeypatch, op, rows, red_k, red_outer, step_min
+    ):
+        import repro.ir.vinterp as vinterp
+
+        monkeypatch.setattr(vinterp, "FOLD_STEP_MIN_CHAINS", step_min)
+        lanes = 5
+        kern = _fold_kernel(op, lanes, red_k, red_outer)
+        rng = np.random.default_rng([rows, red_k, int(red_outer)])
+        a = np.stack([_with_specials(rng, lanes) for _ in range(rows)])
+        x = np.stack([_with_specials(rng, lanes * red_k) for _ in range(rows)])
+        batch = {"A": a.copy(), "X": x.copy()}
+        if rows == 1:
+            batch = {k: v[0] for k, v in batch.items()}
+        vi = run_kernel_vectorized(kern, batch)
+        assert [e.kind for e in vi.events] == ["vectorized"]
+        for row in range(rows):
+            one = {"A": a[row].copy(), "X": x[row].copy()}
+            ir.run_kernel(kern, one)
+            got = np.atleast_2d(batch["A"])[row]
+            assert _bits(got, op) == _bits(one["A"], op), row
+
+    @pytest.mark.parametrize("op", [ir.Max, ir.Min])
+    def test_elementwise_min_max_match_scalar_with_specials(self, op):
+        # Python's min/max keep the first operand on NaN and on ±0 ties
+        x, y, o = (ir.Buffer(n, (25,)) for n in ("X", "Y", "O"))
+        i = ir.Var("i")
+        kern = ir.Kernel("k", [x, y, o], ir.For(i, ir.IntImm(25), ir.Store(
+            o, i, op(ir.Load(x, i), ir.Load(y, i)))))
+        grid = np.array(np.meshgrid(_SPECIALS, _SPECIALS)).reshape(2, -1)
+        bufs = {"X": grid[0].copy(), "Y": grid[1].copy(),
+                "O": np.zeros(25, np.float32)}
+        _run_both(kern, bufs)
+
+
+class TestAddressChecks:
+    @given(
+        idx=st.one_of(
+            st.lists(st.integers(0, 3), max_size=40),  # duplicate-heavy
+            st.lists(st.integers(0, 10**6), max_size=40),
+            st.lists(st.integers(0, 200), max_size=60, unique=True),
+        ),
+        offset=st.sampled_from([0, 1, 7, 10**5]),
+    )
+    @example(idx=[], offset=0)
+    @example(idx=[5, 5], offset=0)
+    @example(idx=[2, 0, 1, 0], offset=0)
+    @example(idx=[9, 3], offset=0)
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_equals_unique_predicate(self, idx, offset):
+        from repro.ir.vinterp import _distinct
+
+        arr = np.asarray(idx, np.int64) + offset
+        assert _distinct(arr) == (np.unique(arr).size == arr.size)
+
+    @pytest.mark.parametrize("divisor, reason", [
+        (2, "overlapping parallel stores"), (1, None),
+    ])
+    def test_parallel_store_check(self, divisor, reason):
+        # A[i // divisor] = i: collides for divisor 2, disjoint for 1
+        buf = ir.Buffer("A", (8,))
+        i = ir.Var("i")
+        kern = ir.Kernel("k", [buf], ir.For(i, ir.IntImm(8), ir.Store(
+            buf, ir.FloorDiv(i, ir.IntImm(divisor)), ir.Cast(ir.FLOAT32, i))))
+        bufs = {"A": np.zeros(8, np.float32)}
+        events, _ = _events_of(kern, bufs)
+        if reason is None:
+            assert [e.kind for e in events] == ["vectorized"]
+        else:
+            assert (events[0].kind, events[0].detail) == ("fallback", reason)
+        _run_both(kern, bufs)
+
+    @pytest.mark.parametrize("divisor, reason", [
+        (2, "reduction lanes collide"), (1, None),
+    ])
+    def test_reduction_lane_check(self, divisor, reason):
+        # A[l // divisor] += X[l * 3 + r]: lanes collide for divisor 2
+        a, x = ir.Buffer("A", (4,)), ir.Buffer("X", (12,))
+        l, r = ir.Var("l"), ir.Var("r")
+        lane = ir.FloorDiv(l, ir.IntImm(divisor))
+        body = ir.Store(a, lane, ir.Add(
+            ir.Load(a, lane), ir.Load(x, l * ir.IntImm(3) + r)))
+        kern = ir.Kernel("k", [a, x], ir.For(
+            l, ir.IntImm(4), ir.For(r, ir.IntImm(3), body)))
+        rng = np.random.default_rng(3)
+        bufs = {"A": rng.standard_normal(4).astype(np.float32),
+                "X": rng.standard_normal(12).astype(np.float32)}
+        events, _ = _events_of(kern, bufs)
+        if reason is None:
+            assert [e.kind for e in events] == ["vectorized"]
+        else:
+            assert (events[0].kind, events[0].detail) == ("fallback", reason)
+            # the scalar loop over l re-tries, and vectorizes, each r band
+            assert all(e.kind == "vectorized" for e in events[1:])
+        _run_both(kern, bufs)
