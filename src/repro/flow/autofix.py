@@ -795,13 +795,13 @@ def autofix_network(
     LeNet-5 runs the pipelined loop at the top optimization level;
     everything else runs the folded loop from the thesis tiling tables.
     """
-    from repro.flow.stages import MODELS
+    from repro.flow.stages import MODELS, default_mode
     from repro.relay import fuse_operators
 
     if network not in MODELS:
         raise ReproError(f"unknown network {network!r}")
     fused = fuse_operators(MODELS[network]())
-    if network == "lenet5":
+    if default_mode(network) == "pipelined":
         return autofix_pipelined(
             fused, board, constants=constants, max_iterations=max_iterations,
         )

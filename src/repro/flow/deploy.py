@@ -109,6 +109,21 @@ def default_folded_config(network: str, board: Board, naive: bool = False) -> Fo
     raise ReproError(f"no default folded config for {network!r}")
 
 
+def folded_config_for(network: str, board: Board) -> FoldedConfig:
+    """The thesis tiling table for ``network``, else the generic config.
+
+    Networks with no table (LeNet-class) still fold: the generic
+    :class:`FoldedConfig` schedules every layer with a recipe.  Unlike
+    :func:`default_folded_config` this never raises, so it suits callers
+    that must fold any shipped network (replica refill, the static
+    certifiers); DSE and autofix keep the raising form.
+    """
+    try:
+        return default_folded_config(network, board)
+    except ReproError:
+        return FoldedConfig()
+
+
 @dataclass
 class Deployment:
     """A compiled, deployable network on one board."""
@@ -296,14 +311,9 @@ def build_rung(
             network, board, level=level, constants=constants, cache=cache
         )
     if mode == "folded":
-        try:
-            config = default_folded_config(network, board)
-        except ReproError:
-            # no thesis tiling table (LeNet-class networks): the generic
-            # folded config still builds them
-            config = FoldedConfig()
         return deploy_folded(
-            network, board, config=config, constants=constants, cache=cache
+            network, board, config=folded_config_for(network, board),
+            constants=constants, cache=cache,
         )
     raise ReproError(
         f"unknown device rung {mode!r}; choose 'pipelined' or 'folded'"

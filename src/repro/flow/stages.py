@@ -74,6 +74,17 @@ MODELS: Dict[str, Callable] = {
     "alexnet": alexnet,
 }
 
+
+def default_mode(network: str) -> str:
+    """The flow a network builds through by default.
+
+    ``'pipelined'`` (one kernel per layer, chained by channels) for the
+    LeNet-class network small enough to fit whole; ``'folded'`` (shared
+    kernels invoked per layer) for everything else.
+    """
+    return "pipelined" if network == "lenet5" else "folded"
+
+
 #: pass ``cache=DISABLED`` to run a flow without any compile cache
 DISABLED = False
 

@@ -5,28 +5,31 @@ optimization ladder, the MobileNet/ResNet folded deployments, baseline
 comparisons and fit/route failures — and renders them with ASCII charts.
 For the full per-table benches, run ``pytest benchmarks/ --benchmark-only``.
 
-Subcommands: ``--trace`` prints the per-stage compile trace of one
-deployment (optionally under a demo fault plan); ``--serve`` runs the
-batched multi-replica serving simulation and prints its metrics;
-``--verify`` runs the static verifier (bounds, races, channel protocol,
-OpenCL lint) over one build and exits non-zero on any error-severity
-finding; ``--advise`` runs the static performance advisor (RP rules)
-and the dominance-prune preview over one build — advice-only findings
-exit 0; ``--autofix`` feeds the advisor's machine-readable fixes back
-into the schedule and iterates to an advice-clean fixpoint (or a
-provably-stuck report).  Run with ``--help`` for the full flag
-reference.
+Modes, each over one ``NETWORK[:...]`` spec: ``--trace`` (per-stage
+compile trace, optionally under a demo fault plan), ``--serve``
+(multi-replica serving simulation), ``--verify`` (static verifier),
+``--advise`` (performance advisor, RP rules), ``--autofix``
+(advise->rewrite auto-scheduler), ``--certify`` (schedule equivalence,
+RE rules) and ``--memory`` (liveness and DDR arena, RM rules).  The
+static modes build through the flow's own stages minus ``verify`` and
+``synthesize``, so even unfittable builds report.  Run with ``--help``
+for the flag reference.
 """
 
 from __future__ import annotations
 
+import argparse
+import functools
 import sys
-from typing import Dict, List, Optional, TextIO
+from typing import Dict, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from repro.device import ALL_BOARDS, ARRIA10, STRATIX10_SX
+from repro.device import ALL_BOARDS, ARRIA10, Board, STRATIX10_SX, board_by_name
 from repro.errors import FitError, ReproError, RoutingError
-from repro.flow import LEVELS, deploy_folded, deploy_pipelined
+from repro.flow import LEVELS, MODELS, deploy_folded, deploy_pipelined
+from repro.flow.deploy import folded_config_for
+from repro.flow.stages import DISABLED, default_mode, folded_flow, pipelined_flow
 from repro.perf import tf_cpu_fps, tf_cudnn_fps, tvm_cpu_fps
+from repro.pipeline import Pipeline, PipelineResult
 from repro.viz import bar_chart
 
 
@@ -125,22 +128,103 @@ def _demo_fault_plan():
     )
 
 
-def _bad_spec(out: TextIO, message: str) -> int:
-    """Malformed NETWORK[:...] spec: explain, print USAGE, exit 2.
+class UsageError(Exception):
+    """A malformed command line or ``NETWORK[:...]`` spec (exit status 2)."""
 
-    Every report mode funnels spec errors through here so the CLI exit
-    contract is uniform: status 2 *and* the usage text, regardless of
-    which component of the spec was wrong.
+
+class Spec(NamedTuple):
+    """One parsed ``NETWORK[:...]`` spec; fields absent from it hold defaults."""
+
+    network: str
+    board: Board
+    mode: str
+    level: str
+    replicas: int
+
+
+def _spec_form(fields: Sequence[str]) -> str:
+    """``('network', 'board')`` -> ``'NETWORK[:BOARD]'``."""
+    head, *rest = (f.upper() for f in fields)
+    return head + "".join(f"[:{f}" for f in rest) + "]" * len(rest)
+
+
+def parse_spec(spec: str, fields: Sequence[str]) -> Spec:
+    """Parse ``spec`` against one mode's field list, e.g.
+    ``('network', 'board', 'replicas')`` for ``--serve``.
+
+    The only place spec fields are read.  Fields are validated in spec
+    order and the first bad one raises :class:`UsageError` naming it.
+    Defaults: board S10SX, the network's
+    :func:`~repro.flow.stages.default_mode`, the top level, 4 replicas.
     """
+    parts = spec.split(":")
+    if len(parts) > len(fields):
+        raise UsageError(f"spec {spec!r} has {len(parts)} fields; "
+                         f"expected {_spec_form(fields)}")
+    given = dict(zip(fields, parts))
+    network = given["network"]
+    if network not in MODELS:
+        raise UsageError(f"unknown network {network!r}; "
+                         f"choose from: {', '.join(sorted(MODELS))}")
+    mode = given.get("mode", default_mode(network))
+    if mode not in ("pipelined", "folded"):
+        raise UsageError(
+            f"unknown mode {mode!r}; choose 'pipelined' or 'folded'")
+    try:
+        board = board_by_name(given.get("board", STRATIX10_SX.name))
+    except KeyError:
+        raise UsageError(f"unknown board {given['board']!r}; choose from: "
+                         f"{', '.join(b.name for b in ALL_BOARDS)}") from None
+    level = given.get("level", LEVELS[-1])
+    if level not in LEVELS:
+        raise UsageError(f"unknown level {level!r}; "
+                         f"choose from: {', '.join(LEVELS)}")
+    if "level" in given and default_mode(network) != "pipelined":
+        raise UsageError("optimization levels only apply to the "
+                         "pipelined network (lenet5)")
+    try:
+        replicas = int(given.get("replicas", 4))
+    except ValueError:
+        raise UsageError(f"replica count {given['replicas']!r} is not an "
+                         "integer") from None
+    if replicas < 1:
+        raise UsageError(f"replica count {replicas} must be at least 1")
+    return Spec(network, board, mode, level, replicas)
+
+
+def _bad_spec(out: TextIO, message: str) -> int:
+    """Every usage error in every mode: the message, USAGE, exit 2."""
     out.write(message + "\n\n")
     out.write(USAGE)
     return 2
 
 
-def _too_many_fields(out: TextIO, spec: str, form: str) -> int:
-    """A spec with more ``:``-separated fields than ``form`` allows."""
-    return _bad_spec(out, f"spec {spec!r} has {spec.count(':') + 1} "
-                     f"fields; expected {form}")
+def _spec_or_usage(spec: str, mode: str, out: TextIO) -> Optional[Spec]:
+    """``mode``'s parsed spec, or ``None`` after reporting why it is bad."""
+    try:
+        return parse_spec(spec, MODES[mode][0])
+    except UsageError as e:
+        _bad_spec(out, str(e))
+        return None
+
+
+def _static_build(s: Spec, mode: str) -> PipelineResult:
+    """Build ``s`` through its flow's own stages, minus verify and synthesize.
+
+    import -> fuse -> schedule -> lower -> codegen -> plan yields every
+    artifact the static reports read, with no synthesis, so even builds
+    that cannot fit the board still report.
+    """
+    if mode == "pipelined":
+        flow = pipelined_flow(s.network, s.board, s.level, cache=DISABLED)
+    else:
+        flow = folded_flow(s.network, s.board,
+                           folded_config_for(s.network, s.board),
+                           cache=DISABLED)
+    return Pipeline(flow.name, [
+        stage for stage in flow.stages
+        if stage.name not in ("verify", "synthesize")
+    ]).run()
 
 
 def trace_deployment(
@@ -159,34 +243,14 @@ def trace_deployment(
     resilient degradation ladder, and the recovery events are printed
     after the trace.
     """
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.stages import MODELS
-
-    parts = spec.split(":")
-    if len(parts) > 3:
-        return _too_many_fields(out, spec, "NETWORK[:MODE[:BOARD]]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    mode = parts[1] if len(parts) > 1 else (
-        "pipelined" if network == "lenet5" else "folded"
-    )
-    if mode not in ("pipelined", "folded"):
-        return _bad_spec(
-            out, f"unknown mode {mode!r}; choose 'pipelined' or 'folded'")
-    try:
-        board = board_by_name(parts[2]) if len(parts) > 2 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[2]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
+    s = _spec_or_usage(spec, "trace", out)
+    if s is None:
+        return 2
     if with_faults:
-        return _trace_with_faults(network, board, out, as_json)
+        return _trace_with_faults(s.network, s.board, out, as_json)
+    deploy = deploy_pipelined if s.mode == "pipelined" else deploy_folded
     try:
-        if mode == "pipelined":
-            d = deploy_pipelined(network, board)
-        else:
-            d = deploy_folded(network, board)
+        d = deploy(s.network, s.board)
     except ReproError as e:
         diag = getattr(e, "diagnostic", None)
         out.write(f"{type(e).__name__}: {e}\n")
@@ -295,55 +359,23 @@ def verify_deployment(
 ) -> int:
     """Statically verify one build and print the diagnostic report.
 
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``lenet5``,
-    ``resnet18:A10``.  Board defaults to S10SX; mode is pipelined for
-    lenet5 and folded otherwise.  The build stops after codegen — no
-    synthesis is attempted — so even network/board pairs that do not fit
-    (naive ResNet on the Arria 10) can still be verified.  Exit status:
-    0 when the build is verifier-clean (no error-severity findings),
-    1 otherwise, 2 on a bad spec.
+    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``resnet18:A10``.  The build
+    is static (no synthesis), so even pairs that do not fit (naive ResNet
+    on the Arria 10) verify.  Exit status: 0 when the build is
+    verifier-clean (no error-severity findings), 1 otherwise, 2 on a bad
+    spec.
     """
     import json
 
-    from repro.codegen import generate_opencl
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-    from repro.flow.pipelined import (
-        lower_pipelined,
-        plan_pipelined,
-        schedule_pipelined,
-    )
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
     from repro.verify import verify_build
 
-    parts = spec.split(":")
-    if len(parts) > 2:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    if network == "lenet5":
-        sched = schedule_pipelined(fused, LEVELS[-1], board, 1.0)
-        program = lower_pipelined(sched)
-        plan = plan_pipelined(fused, sched)
-    else:
-        config = default_folded_config(network, board)
-        sched = schedule_folded(fused, config, board)
-        program = lower_folded(sched)
-        plan = plan_folded(fused, sched)
+    s = _spec_or_usage(spec, "verify", out)
+    if s is None:
+        return 2
+    build = _static_build(s, s.mode)
     report = verify_build(
-        program, source=generate_opencl(program), plan=plan,
-        subject=f"{network}:{board.name}",
+        build.value("program"), source=build.value("source"),
+        plan=build.value("plan"), subject=f"{s.network}:{s.board.name}",
     )
     if as_json:
         out.write(json.dumps(report.to_dict(), indent=2) + "\n")
@@ -359,52 +391,26 @@ def certify_deployment(
 ) -> int:
     """Equivalence-certify one build's schedules and print the verdicts.
 
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  Board
-    defaults to S10SX.  The network is built through the *folded* flow
-    (its kernels carry transform recipes, the certifier's input) and
-    stops after planning — no synthesis — so even network/board pairs
-    that cannot fit still certify.  Every recipe-backed kernel's
-    scheduled lowering is statically proven equivalent to its naive
-    lowering (RE rules, :mod:`repro.verify.equiv`); the run is purely
-    static — an RE006-unknown kernel is reported, not dynamically
-    cross-checked.  Exit status: 0 when every recipe-backed kernel
-    certified (no rejections, no unknowns — hence zero interpreter
-    fallbacks would be needed), 1 otherwise, 2 on a bad spec.
+    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  The
+    static build goes through the *folded* flow, whose kernels carry the
+    transform recipes the certifier reads.  Every recipe-backed kernel's
+    scheduled lowering is proven equivalent to its naive lowering (RE
+    rules, :mod:`repro.verify.equiv`) with no interpreter runs — an
+    RE006-unknown kernel is reported, not dynamically cross-checked.
+    Exit status: 0 when every recipe-backed kernel certified (no
+    rejections, no unknowns), 1 otherwise, 2 on a bad spec.
     """
     import json
 
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import FoldedConfig, plan_folded, schedule_folded
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
     from repro.verify import certify_build
 
-    parts = spec.split(":")
-    if len(parts) > 2:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    try:
-        config = default_folded_config(network, board)
-    except ReproError:
-        # no thesis tiling table (LeNet-class): the generic folded
-        # config still schedules every layer with a recipe
-        config = FoldedConfig()
-    sched = schedule_folded(fused, config, board)
-    plan = plan_folded(fused, sched)
+    s = _spec_or_usage(spec, "certify", out)
+    if s is None:
+        return 2
+    build = _static_build(s, "folded")
     report, certs = certify_build(
-        sched, plan=plan, subject=f"{network}:{board.name}",
-        dynamic_fallback=False,
+        build.value("schedule"), plan=build.value("plan"),
+        subject=f"{s.network}:{s.board.name}", dynamic_fallback=False,
     )
     ok = (
         report.clean
@@ -432,7 +438,6 @@ def certify_deployment(
     return 0 if ok else 1
 
 
-
 def memory_deployment(
     spec: str,
     out: TextIO = sys.stdout,
@@ -440,10 +445,8 @@ def memory_deployment(
 ) -> int:
     """Static memory report: liveness, arena map, bytes saved (RM rules).
 
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  Board
-    defaults to S10SX.  The network is built through the *folded* flow
-    and stops after planning — no synthesis — so even network/board
-    pairs that cannot fit still get a memory verdict.  Prints the
+    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``, built
+    statically through the *folded* flow.  Prints the
     per-value liveness table, the DDR arena map with its reuse pairs,
     and the resident footprint vs the board's capacity; the JSON form
     carries the full :class:`~repro.verify.memory.MemoryPlan` and
@@ -452,40 +455,16 @@ def memory_deployment(
     """
     import json
 
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import FoldedConfig, lower_folded, plan_folded, \
-        schedule_folded
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
     from repro.verify.memory import check_memory, format_memory_plan
 
-    parts = spec.split(":")
-    if len(parts) > 2:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-
-    fused = fuse_operators(MODELS[network]())
-    try:
-        config = default_folded_config(network, board)
-    except ReproError:
-        # no thesis tiling table (LeNet-class): the generic folded
-        # config still plans every layer
-        config = FoldedConfig()
-    sched = schedule_folded(fused, config, board)
-    plan = plan_folded(fused, sched)
-    program = lower_folded(sched)
+    s = _spec_or_usage(spec, "memory", out)
+    if s is None:
+        return 2
+    build = _static_build(s, "folded")
+    fused = build.value("fused")
     report, memory, cert = check_memory(
-        fused, plan, program=program, board=board,
-        subject=f"{network}:{board.name}",
+        fused, build.value("plan"), program=build.value("program"),
+        board=s.board, subject=f"{s.network}:{s.board.name}",
     )
     if as_json:
         payload = report.to_dict()
@@ -494,7 +473,7 @@ def memory_deployment(
         out.write(json.dumps(payload, indent=2) + "\n")
         return 0 if report.clean else 1
     if memory is not None:
-        out.write(format_memory_plan(memory, fused, board) + "\n\n")
+        out.write(format_memory_plan(memory, fused, s.board) + "\n\n")
     out.write(report.format_table() + "\n")
     out.write(
         "\nverdict: "
@@ -518,7 +497,7 @@ def advise_deployment(
     or ``lenet5:S10SX:base``; LEVEL selects the optimization rung for
     pipelined networks (lenet5) and defaults to the top one, so
     ``lenet5:S10SX:base`` advises the deliberately naive schedules.
-    The build stops after codegen (no synthesis).  The report lists
+    The build is static (no synthesis).  The report lists
     every RP finding with the cookbook rewrite that fixes it, plus —
     for folded networks with a 1x1 conv group — the dominance pruner's
     preview of how much of the default tiling sweep needs no synthesis.
@@ -528,64 +507,25 @@ def advise_deployment(
     import json
 
     from repro.aoc.constants import DEFAULT_CONSTANTS
-    from repro.codegen import generate_opencl
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.deploy import default_folded_config
-    from repro.flow.folded import lower_folded, plan_folded, schedule_folded
-    from repro.flow.pipelined import (
-        lower_pipelined,
-        plan_pipelined,
-        schedule_pipelined,
-    )
-    from repro.flow.stages import MODELS
-    from repro.relay import fuse_operators
-    from repro.verify import (
-        format_advice,
-        format_prune_preview,
-        prune_preview,
-        verify_build,
-    )
+    from repro.verify import format_advice, format_prune_preview, \
+        prune_preview, verify_build
 
-    parts = spec.split(":")
-    if len(parts) > 3:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD[:LEVEL]]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
+    s = _spec_or_usage(spec, "advise", out)
+    if s is None:
+        return 2
+    pipelined = s.mode == "pipelined"
     try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-    level = parts[2] if len(parts) > 2 else LEVELS[-1]
-    if level not in LEVELS:
-        return _bad_spec(out, f"unknown level {level!r}; "
-                         f"choose from: {', '.join(LEVELS)}")
-    if len(parts) > 2 and network != "lenet5":
-        return _bad_spec(out, "optimization levels only apply to the "
-                         "pipelined network (lenet5)")
-
-    try:
-        fused = fuse_operators(MODELS[network]())
-        if network == "lenet5":
-            sched = schedule_pipelined(fused, level, board, 1.0)
-            program = lower_pipelined(sched)
-            plan = plan_pipelined(fused, sched)
-            preview = None
-        else:
-            config = default_folded_config(network, board)
-            sched = schedule_folded(fused, config, board)
-            program = lower_folded(sched)
-            plan = plan_folded(fused, sched)
-            preview = prune_preview(
-                fused, board, DEFAULT_CONSTANTS, config.pin_unit_stride
-            )
+        build = _static_build(s, s.mode)
+        preview = None if pipelined else prune_preview(
+            build.value("fused"), s.board, DEFAULT_CONSTANTS,
+            folded_config_for(s.network, s.board).pin_unit_stride,
+        )
         report = verify_build(
-            program, source=generate_opencl(program), plan=plan,
-            subject=f"{network}:{board.name}"
-                    + (f":{level}" if network == "lenet5" else ""),
-            board=board,
+            build.value("program"), source=build.value("source"),
+            plan=build.value("plan"),
+            subject=f"{s.network}:{s.board.name}"
+                    + (f":{s.level}" if pipelined else ""),
+            board=s.board,
         )
     except ReproError as e:
         out.write(f"{type(e).__name__}: {e}\n")
@@ -608,9 +548,8 @@ def autofix_deployment(
 ) -> int:
     """Run the advise->rewrite auto-scheduler over one build.
 
-    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  Board
-    defaults to S10SX; mode is pipelined for lenet5 and folded
-    otherwise.  The loop stops after codegen each iteration (no
+    ``spec`` is ``NETWORK[:BOARD]`` — e.g. ``mobilenet_v1:A10``.  The
+    loop stops after codegen each iteration (no
     synthesis) and prints every applied fix, every blocking finding and
     the recipe round-trip verdict.  Exit status: 0 when the loop reached
     an advice-clean fixpoint or a provably-stuck report, 1 on a
@@ -618,24 +557,13 @@ def autofix_deployment(
     """
     import json
 
-    from repro.device import ALL_BOARDS, board_by_name
     from repro.flow.autofix import autofix_network
-    from repro.flow.stages import MODELS
 
-    parts = spec.split(":")
-    if len(parts) > 2:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
+    s = _spec_or_usage(spec, "autofix", out)
+    if s is None:
+        return 2
     try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-    try:
-        result = autofix_network(network, board)
+        result = autofix_network(s.network, s.board)
     except ReproError as e:
         out.write(f"{type(e).__name__}: {e}\n")
         return 1
@@ -673,40 +601,17 @@ def serve_demo(
 
     import numpy as np
 
-    from repro.device import ALL_BOARDS, board_by_name
-    from repro.flow.stages import MODELS
     from repro.resilience import LifecycleConfig
-    from repro.serve import (
-        RequestTrace,
-        ServeConfig,
-        Server,
-        chaos_plan,
-        provision_replicas,
-    )
+    from repro.serve import RequestTrace, ServeConfig, Server, chaos_plan, \
+        provision_replicas
 
-    parts = spec.split(":")
-    if len(parts) > 3:
-        return _too_many_fields(out, spec, "NETWORK[:BOARD[:REPLICAS]]")
-    network = parts[0]
-    if network not in MODELS:
-        return _bad_spec(out, f"unknown network {network!r}; "
-                         f"choose from: {', '.join(sorted(MODELS))}")
-    try:
-        board = board_by_name(parts[1]) if len(parts) > 1 else STRATIX10_SX
-    except KeyError:
-        return _bad_spec(out, f"unknown board {parts[1]!r}; choose from: "
-                         f"{', '.join(b.name for b in ALL_BOARDS)}")
-    try:
-        n_replicas = int(parts[2]) if len(parts) > 2 else 4
-    except ValueError:
-        return _bad_spec(
-            out, f"replica count {parts[2]!r} is not an integer")
-    if n_replicas < 1:
-        return _bad_spec(
-            out, f"replica count {n_replicas} must be at least 1")
+    s = _spec_or_usage(spec, "serve", out)
+    if s is None:
+        return 2
     if n_requests < 1:
         return _bad_spec(
             out, f"--requests {n_requests} must be at least 1")
+    network, board, n_replicas = s.network, s.board, s.replicas
 
     replicas = provision_replicas(network, board, n_replicas)
     per_image_us = replicas[0].service_us(1)
@@ -781,129 +686,121 @@ def serve_demo(
     return 0
 
 
-USAGE = """\
-usage: python -m repro.report [MODE] [FLAGS]
+#: report mode -> (its spec fields, entry point, example spec); each
+#: mode's help line is its entry point's docstring summary
+MODES = {
+    "trace": (("network", "mode", "board"), trace_deployment,
+              "mobilenet_v1:folded:A10"),
+    "serve": (("network", "board", "replicas"), serve_demo,
+              "mobilenet_v1:S10SX:4"),
+    "verify": (("network", "board"), verify_deployment, "resnet18:A10"),
+    "advise": (("network", "board", "level"), advise_deployment,
+               "lenet5:S10SX:base"),
+    "autofix": (("network", "board"), autofix_deployment, "mobilenet_v1:A10"),
+    "certify": (("network", "board"), certify_deployment, "resnet50:A10"),
+    "memory": (("network", "board"), memory_deployment, "mobilenet_v1:A10"),
+}
 
-modes:
-  (no flags)              full reproduction scorecard (ladder, folded
-                          deployments, baselines, fit/route failures)
-  --trace SPEC            per-stage compile trace of one deployment;
-                          SPEC = NETWORK[:MODE[:BOARD]], e.g. lenet5,
-                          mobilenet_v1:folded:A10
-  --serve SPEC            batched multi-replica serving simulation;
-                          SPEC = NETWORK[:BOARD[:REPLICAS]], e.g.
-                          mobilenet_v1:S10SX:4
-  --verify SPEC           static verification (bounds, races, channel
-                          protocol, OpenCL lint) of one build, no
-                          synthesis; SPEC = NETWORK[:BOARD], e.g.
-                          resnet18:A10; exits 1 on any error finding
-  --advise SPEC           static performance advisor (RP rules): II
-                          bottleneck attribution, LSU/stride findings,
-                          roofline classification, dominance-prune
-                          preview; SPEC = NETWORK[:BOARD[:LEVEL]], e.g.
-                          lenet5:S10SX:base; advice-only findings exit 0
-  --autofix SPEC          advise->rewrite auto-scheduler: apply the RP
-                          findings' machine-readable fixes, re-verify,
-                          iterate to an advice-clean fixpoint or a
-                          provably-stuck report (no synthesis);
-                          SPEC = NETWORK[:BOARD], e.g. mobilenet_v1:A10
-  --certify SPEC          static equivalence certifier (RE rules): prove
-                          every recipe-scheduled kernel computes the
-                          same results as its naive lowering, with no
-                          interpreter runs and no synthesis — works on
-                          unfittable builds; SPEC = NETWORK[:BOARD],
-                          e.g. resnet50:A10; exits 0 only when all
-                          recipe-backed kernels certify
-  --memory SPEC           static memory certifier (RM rules): activation
-                          liveness over the folded plan, the shared DDR
-                          arena map with its reuse pairs, bytes saved vs
-                          naive per-buffer allocation, and the board-
-                          capacity verdict — no synthesis, works on
-                          unfittable builds; SPEC = NETWORK[:BOARD],
-                          e.g. mobilenet_v1:A10; exits 0 iff RM-clean
+#: flag -> (the entry-point keyword it sets, the modes that read it,
+#: argparse options, help text)
+_FLAGS = {
+    "--json": ("as_json", tuple(MODES), {"action": "store_true"},
+               "emit JSON instead of tables"),
+    "--faults": ("with_faults", ("trace",), {"action": "store_true"},
+                 "run --trace under the demo fault plan through the "
+                 "resilient degradation ladder"),
+    "--overload": ("overload", ("serve",), {"action": "store_true"},
+                   "drive --serve past pool capacity against a short "
+                   "admission queue (requests shed to the CPU rung)"),
+    "--requests": ("n_requests", ("serve",), {"type": int, "metavar": "N"},
+                   "request count for --serve (default 48)"),
+    "--chaos": ("chaos", ("serve",), {"type": int, "metavar": "SEED"},
+                "replay --serve under the seeded serving chaos plan and "
+                "exit 1 unless every request is answered with logits "
+                "bit-identical to a fault-free run"),
+}
 
-flags:
-  --json                  emit JSON instead of tables
-                          (--trace/--serve/--verify/--advise/--memory)
-  --faults                run --trace under the demo fault plan through
-                          the resilient degradation ladder
-  --overload              drive --serve past pool capacity against a
-                          short admission queue (requests shed to the
-                          CPU rung)
-  --requests N            request count for --serve (default 48)
-  --chaos SEED            replay --serve under the seeded serving chaos
-                          plan (replica deaths, batch crashes, hangs);
-                          verifies every request is answered with
-                          logits bit-identical to a fault-free run and
-                          exits 1 otherwise
-  --help                  this message
-"""
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` instead of printing and exiting."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="python -m repro.report",
+        usage="%(prog)s [--MODE SPEC] [FLAGS]",
+        description="With no mode: the full reproduction scorecard.  "
+        "SPEC defaults: BOARD S10SX, MODE pipelined for lenet5 and "
+        "folded otherwise, the top LEVEL, 4 REPLICAS.  Exit status: 0 "
+        "on success, 1 on a finding or failed run, 2 on a bad command.",
+        allow_abbrev=False,
+        add_help=False,
+        formatter_class=functools.partial(argparse.HelpFormatter, width=79),
+    )
+    modes = parser.add_argument_group("modes (at most one)")
+    modes = modes.add_mutually_exclusive_group()
+    for mode, (fields, entry, example) in MODES.items():
+        summary = entry.__doc__.splitlines()[0]
+        modes.add_argument(f"--{mode}", metavar="SPEC", help=f"{summary}  "
+                           f"SPEC = {_spec_form(fields)}, e.g. {example}")
+    flags = parser.add_argument_group("flags")
+    for flag, (dest, _, options, text) in _FLAGS.items():
+        flags.add_argument(flag, dest=dest, help=text, **options)
+    flags.add_argument("-h", "--help", action="store_true",
+                       help="this message")
+    return parser
+
+
+_PARSER = _parser()
+USAGE = _PARSER.format_help()
+
+
+def parse_command(
+    argv: Sequence[str],
+) -> Tuple[Optional[str], Optional[str], Dict[str, object]]:
+    """Parse one report command line without running it.
+
+    Returns ``(mode, spec, keywords)``: ``mode`` is one of :data:`MODES`,
+    ``'help'``, or ``None`` for the scorecard, and ``keywords`` are the
+    flags given, keyed like the mode entry point's parameters.  Raises
+    :class:`UsageError` on an unknown flag, a flag the chosen mode never
+    reads, or a malformed spec.
+    """
+    args = _PARSER.parse_args(list(argv))
+    if args.help:
+        return "help", None, {}
+    mode = next((m for m in MODES if getattr(args, m) is not None), None)
+    keywords: Dict[str, object] = {}
+    for flag, (dest, readers, _, _) in _FLAGS.items():
+        value = getattr(args, dest)
+        if value is None or value is False:
+            continue
+        if mode not in readers:
+            raise UsageError(
+                f"{flag} only applies to "
+                + ", ".join(f"--{m}" for m in readers)
+                + (f", not --{mode}" if mode else ""))
+        keywords[dest] = value
+    if mode is None:
+        return None, None, keywords
+    spec = getattr(args, mode)
+    parse_spec(spec, MODES[mode][0])
+    return mode, spec, keywords
 
 
 def main(out: TextIO = sys.stdout, argv: Optional[List[str]] = None) -> int:
-    args = list(argv) if argv is not None else []
-    if "--help" in args or "-h" in args:
+    try:
+        mode, spec, keywords = parse_command(argv or [])
+    except UsageError as e:
+        return _bad_spec(out, str(e))
+    if mode == "help":
         out.write(USAGE)
         return 0
-    if args and args[0] == "--trace":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return trace_deployment(
-            args[1], out, as_json="--json" in args[2:],
-            with_faults="--faults" in args[2:],
-        )
-    if args and args[0] == "--verify":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return verify_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--advise":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return advise_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--autofix":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return autofix_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--certify":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return certify_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--memory":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        return memory_deployment(args[1], out, as_json="--json" in args[2:])
-    if args and args[0] == "--serve":
-        if len(args) < 2:
-            out.write(USAGE)
-            return 2
-        rest = args[2:]
-        n_requests = 48
-        if "--requests" in rest:
-            try:
-                n_requests = int(rest[rest.index("--requests") + 1])
-            except (IndexError, ValueError):
-                return _bad_spec(out, "--requests needs an integer count")
-        chaos = None
-        if "--chaos" in rest:
-            try:
-                chaos = int(rest[rest.index("--chaos") + 1])
-            except (IndexError, ValueError):
-                out.write(USAGE)
-                return 2
-        return serve_demo(
-            args[1], out, as_json="--json" in rest,
-            overload="--overload" in rest, n_requests=n_requests,
-            chaos=chaos,
-        )
-    if args:
-        out.write(USAGE)
-        return 2
+    if mode is not None:
+        return MODES[mode][1](spec, out, **keywords)
     out.write("Reproduction report — Chung, 'Optimization of Compiler-"
               "Generated OpenCL CNN Kernels and Runtime for FPGAs'\n")
     final = lenet_ladder(out)

@@ -27,7 +27,7 @@ from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.errors import ReproError
 from repro.flow.deploy import Deployment, build_rung
-from repro.flow.stages import CacheOption, MODELS, resolve_cache
+from repro.flow.stages import CacheOption, MODELS, default_mode, resolve_cache
 from repro.perf import tf_cpu_fps
 from repro.relay import fuse_operators, init_params, run_fused_graph
 from repro.resilience.config import configured
@@ -189,7 +189,8 @@ class Replica:
 
 def _preferred_modes(network: str) -> List[str]:
     """Device rungs to try, best first (the degradation-ladder order)."""
-    return ["pipelined", "folded"] if network == "lenet5" else ["folded"]
+    mode = default_mode(network)
+    return ["pipelined", "folded"] if mode == "pipelined" else [mode]
 
 
 def deployment_ddr_bytes(dep) -> Optional[int]:

@@ -377,6 +377,28 @@ class TestMemoryCLI:
         "--trace", "--verify", "--advise", "--autofix",
         "--certify", "--serve", "--memory",
     ])
+    def test_unread_or_unknown_flag_exits_2_with_diagnostic(self, mode):
+        from repro.report import main, parse_command
+
+        flags = {"--faults": [], "--overload": [], "--requests": ["5"],
+                 "--chaos": ["1"], "--jsno": []}
+        readers = {"--faults": "--trace", "--overload": "--serve",
+                   "--requests": "--serve", "--chaos": "--serve"}
+        for flag, value in flags.items():
+            if readers.get(flag) == mode:
+                continue
+            out = io.StringIO()
+            assert main(out, [mode, "lenet5", flag, *value]) == 2, flag
+            first, _, rest = out.getvalue().partition("\n")
+            assert flag in first and "usage:" in rest
+        # flags may come before the mode
+        assert parse_command(["--json", mode, "lenet5"]) == (
+            mode.lstrip("-"), "lenet5", {"as_json": True})
+
+    @pytest.mark.parametrize("mode", [
+        "--trace", "--verify", "--advise", "--autofix",
+        "--certify", "--serve", "--memory",
+    ])
     def test_missing_spec_exits_2_with_usage(self, mode):
         from repro.report import main
 

@@ -545,6 +545,15 @@ class TestServeReport:
         assert rc == 2
         assert "--requests -3 must be at least 1" in text
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--chaos"], "argument --chaos: expected one argument"),
+        (["--chaos", "x"], "argument --chaos: invalid int value: 'x'"),
+    ])
+    def test_cli_bad_chaos_seed_is_a_named_error(self, argv, message):
+        rc, text = self._cli("--serve", "lenet5", *argv)
+        assert rc == 2
+        assert message in text and "usage:" in text
+
     def test_cli_memory_extra_field_is_a_named_error(self):
         rc, text = self._cli("--memory", "lenet5:S10SX:extra")
         assert rc == 2
@@ -553,6 +562,8 @@ class TestServeReport:
     def test_usage_lists_all_flags(self):
         from repro.report import USAGE
 
-        for flag in ("--trace", "--serve", "--json", "--faults",
-                     "--overload", "--requests", "--help"):
+        for flag in ("--trace", "--serve", "--verify", "--advise",
+                     "--autofix", "--certify", "--memory", "--json",
+                     "--faults", "--overload", "--requests", "--chaos",
+                     "--help"):
             assert flag in USAGE
