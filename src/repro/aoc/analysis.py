@@ -16,6 +16,7 @@ For each kernel this derives, once:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -28,6 +29,11 @@ from repro.ir.kernel import Kernel
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 
 Bindings = Dict[_e.Var, int]
+
+
+def _binding_key(bindings: Bindings) -> Tuple[Tuple[str, int], ...]:
+    """Memo key of a rebound binding set: its (name, value) pairs."""
+    return tuple(sorted((v.name, val) for v, val in bindings.items()))
 
 
 @dataclass
@@ -89,13 +95,24 @@ class LoopNode:
 
 
 class KernelAnalysis:
-    """All static facts about a kernel, plus binding-parameterized costs."""
+    """All static facts about a kernel, plus binding-parameterized costs.
+
+    :meth:`of` returns the one analysis per ``(kernel, constants)`` that
+    the verifier's advisor, the offline compiler and the runtime cost
+    model share; construct directly only for a private copy.
+    """
 
     def __init__(self, kernel: Kernel, constants: AOCConstants = DEFAULT_CONSTANTS) -> None:
-        self.kernel = kernel
+        self._kernel_ref = weakref.ref(kernel)
+        #: strong reference, except for an analysis stored on its own
+        #: kernel (:meth:`of`): a cycle there would keep every dropped
+        #: kernel's IR alive until a full garbage collection
+        self._pin: Optional[Kernel] = kernel
         self.c = constants
         self.sites: List[AccessSite] = []
-        self.loops: Dict[int, LoopNode] = {}
+        #: keyed by the For statement itself (identity-hashed), so the
+        #: map survives a pickle round-trip alongside the kernel body
+        self.loops: Dict[_s.For, LoopNode] = {}
         self.loop_count = 0
         self.channel_ops = 0
         self.uses_select = False
@@ -112,13 +129,41 @@ class KernelAnalysis:
         #: FLOPs of the replicated (unrolled) datapath
         self.spatial_flops = self._spatial_flops(kernel.body)
         self._cycles_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
+        self._traffic_cache: Dict[Tuple[Tuple[str, int], ...], int] = {}
 
-    def __reduce__(self):
-        # ``loops`` is keyed by id(stmt), which does not survive a
-        # pickle round-trip (the persistent compile cache); re-analyze
-        # from (kernel, constants) — deterministic and cheap — instead
-        # of restoring stale ids.
-        return (KernelAnalysis, (self.kernel, self.c))
+    @classmethod
+    def of(
+        cls, kernel: Kernel, constants: AOCConstants = DEFAULT_CONSTANTS
+    ) -> "KernelAnalysis":
+        """The analysis of ``kernel`` under ``constants``, built once.
+
+        Stored on the kernel (:meth:`Kernel.derived`), so every build
+        that contains the kernel shares it and it is freed with it.  The
+        analysis refers back to the kernel weakly: hold the kernel for
+        as long as the analysis is used.
+        """
+
+        def build() -> "KernelAnalysis":
+            analysis = cls(kernel, constants)
+            analysis._pin = None
+            return analysis
+
+        return kernel.derived(("analysis", constants), build)
+
+    @property
+    def kernel(self) -> Kernel:
+        """The analyzed kernel."""
+        return self._kernel_ref()
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        del state["_kernel_ref"]
+        state["_pin"] = self.kernel
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._kernel_ref = weakref.ref(self._pin)
 
     # ------------------------------------------------------------------
     # collection
@@ -133,7 +178,7 @@ class KernelAnalysis:
                 self._walk(c, unrolled, serial)
         elif isinstance(s, _s.For):
             self.loop_count += 1
-            self.loops[id(s)] = LoopNode(s)
+            self.loops[s] = LoopNode(s)
             if s.kind is _s.ForKind.UNROLLED and s.unroll_factor is None:
                 ext = s.static_extent
                 if ext is None:
@@ -281,7 +326,7 @@ class KernelAnalysis:
                         if s.buffer.scope == "global"
                         else self.c.ii_local_accum
                     )
-                    node = self.loops[id(loop)]
+                    node = self.loops[loop]
                     if ii > node.ii_dep:
                         node.ii_dep = ii
                         node.ii_dep_buffer = s.buffer.name
@@ -401,7 +446,7 @@ class KernelAnalysis:
     def compute_cycles(self, bindings: Optional[Bindings] = None) -> int:
         """Issue-slot cycle estimate for one invocation."""
         bindings = self._rebind(bindings)
-        key = tuple(sorted((v.name, val) for v, val in bindings.items()))
+        key = _binding_key(bindings)
         if key not in self._cycles_cache:
             self._cycles_cache[key] = max(1, self._cycles(self.kernel.body, bindings))
         return self._cycles_cache[key]
@@ -410,7 +455,7 @@ class KernelAnalysis:
         if isinstance(s, _s.SeqStmt):
             return sum(self._cycles(c, b) for c in s.stmts)
         if isinstance(s, _s.For):
-            node = self.loops[id(s)]
+            node = self.loops[s]
             n = self._eval_extent(s.extent, b)
             if s.kind is _s.ForKind.UNROLLED:
                 if s.unroll_factor is None:
@@ -456,6 +501,12 @@ class KernelAnalysis:
         whose working set fits the 512-kbit cache pays ``unique`` once.
         """
         b = self._rebind(bindings)
+        key = _binding_key(b)
+        if key not in self._traffic_cache:
+            self._traffic_cache[key] = self._traffic(b)
+        return self._traffic_cache[key]
+
+    def _traffic(self, b: Bindings) -> int:
         total = 0
         for site in self.sites:
             if site.buffer.scope != "global":

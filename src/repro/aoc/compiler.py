@@ -184,7 +184,7 @@ def compile_program(
     total = ResourceEstimate()
     replicas = 0
     for kernel in program.kernels:
-        analysis = KernelAnalysis(kernel, constants)
+        analysis = KernelAnalysis.of(kernel, constants)
         res = estimate_kernel(analysis, constants)
         hw[kernel.name] = HwKernel(kernel, analysis, res)
         total = total + res

@@ -21,7 +21,9 @@ hit/miss counts.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -315,8 +317,13 @@ def _open_worker_cache(cache_dir: Optional[str]) -> Optional[CompileCache]:
 
 def _sweep_task(task):
     """Evaluate one indexed candidate in a pool worker."""
+    return _evaluate_task(_WORKER_CTX, task)
+
+
+def _evaluate_task(ctx, task):
+    """Evaluate one indexed candidate against the shared disk cache."""
     idx, group, tiling, base_config, autofix = task
-    fused, board, constants, cache_dir = _WORKER_CTX
+    fused, board, constants, cache_dir = ctx
     cache = _open_worker_cache(cache_dir)
     eff_base, fixed = base_config, False
     if autofix:
@@ -362,22 +369,37 @@ def merge_disk_entries(
     disk = DiskBackend(directory)
     for path in sorted(disk.directory.glob("*.pkl")):
         key = path.stem
-        value = disk.get(key)
-        if value is _MISS:
+        if any(b.get(key) is not _MISS for b in resolved.backends):
             continue
-        for backend in resolved.backends:
-            if backend.get(key) is not _MISS:
-                break
-        else:
+        value = disk.get(key)
+        if value is not _MISS:
             resolved.store(key, value)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity (macOS)
+        return os.cpu_count() or 1
+
+
 def _run_pool(worker, initargs, tasks, workers: int):
-    """Fork a pool, run ``worker`` over ``tasks``, return ordered results."""
+    """Fork a pool, run ``worker`` over ``tasks``, return ordered results.
+
+    The pool has at most one process per CPU this process may run on:
+    candidate builds are CPU-bound, so extra processes only contend.
+    """
+    workers = max(1, min(workers, _usable_cpus(), len(tasks)))
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_sweep_worker,
-                  initargs=initargs) as pool:
-        return pool.map(worker, tasks)
+    # frozen objects are skipped by the workers' garbage collector, which
+    # would otherwise write to (and so copy) every inherited heap page
+    gc.freeze()
+    try:
+        with ctx.Pool(workers, initializer=_init_sweep_worker,
+                      initargs=initargs) as pool:
+            return pool.map(worker, tasks)
+    finally:
+        gc.unfreeze()
 
 
 def sweep_conv1x1(
@@ -453,13 +475,16 @@ def sweep_conv1x1(
     if workers > 1 and live:
         cache_dir, ephemeral = shared_cache_dir(resolved)
         try:
+            ctx = (fused, board, constants, cache_dir)
             tasks = [
                 (i, ("conv", 1, 1), tilings[i], base, autofix) for i in live
             ]
-            results = _run_pool(
-                _sweep_task, (fused, board, constants, cache_dir),
-                tasks, workers,
-            )
+            # the parent evaluates the first point itself, so the forked
+            # workers inherit the kernels every point shares already
+            # lowered, analyzed and verified (see repro.ir.Kernel.derived)
+            results = [_evaluate_task(ctx, tasks[0])]
+            if len(tasks) > 1:
+                results += _run_pool(_sweep_task, ctx, tasks[1:], workers)
             hits = misses = 0
             for idx, point, h, m in results:
                 points[idx] = point

@@ -4,11 +4,22 @@ One :class:`Kernel` corresponds to one OpenCL ``kernel void`` function.
 Its signature is the list of global buffers plus any scalar (symbolic
 shape/stride) arguments; parameterized kernels (thesis Section 5.3) are
 exactly kernels with a non-empty ``scalar_args`` list.
+
+A lowered kernel is immutable once its lowering returns, and the
+per-kernel lower cache (:mod:`repro.flow.incremental`) hands the same
+object to every build that contains it.  Results computed from the
+kernel alone — its channel sets, the AOC analysis, the verifier's
+per-kernel findings — are therefore memoized on the kernel itself via
+:meth:`Kernel.derived`: they are shared by every build, freed together
+with the kernel, and dropped when it is pickled.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple,
+    TypeVar,
+)
 
 from repro.errors import IRError
 from repro.ir import expr as _e
@@ -16,6 +27,10 @@ from repro.ir import stmt as _s
 from repro.ir.analysis import stmt_free_vars
 from repro.ir.buffer import Buffer, Channel
 from repro.ir.functor import StmtVisitor
+
+T = TypeVar("T")
+
+_MISSING = object()
 
 
 class Kernel:
@@ -46,6 +61,8 @@ class Kernel:
         #: name of the buffer holding this kernel's result (None when the
         #: output streams to a channel)
         self.output_buffer: Optional[str] = None
+        #: results computed from this kernel alone (see :meth:`derived`)
+        self._derived: Dict[Hashable, object] = {}
         if autorun and self.args:
             raise IRError(
                 f"kernel {name}: autorun kernels cannot access global memory "
@@ -135,8 +152,30 @@ class Kernel:
                 out[tgt] = val
         return out
 
-    def channels(self) -> Tuple[Set[Channel], Set[Channel]]:
-        """Channels (read, written) by this kernel."""
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per ``key`` for this kernel.
+
+        ``key`` must name every input besides the kernel the result
+        depends on (constants, board, binding values).  Only call this
+        once lowering has finished setting the kernel's attributes.
+        """
+        value = self._derived.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._derived[key] = compute()
+        return value  # type: ignore[return-value]
+
+    def __getstate__(self) -> Dict[str, object]:
+        # derived results are recomputed on demand after unpickling, so
+        # a pickled kernel (a compile-cache entry) does not carry them
+        state = dict(self.__dict__)
+        state["_derived"] = {}
+        return state
+
+    def channels(self) -> Tuple[FrozenSet[Channel], FrozenSet[Channel]]:
+        """Channels (read, written) by this kernel, as read-only sets."""
+        return self.derived("channels", self._collect_channels)
+
+    def _collect_channels(self) -> Tuple[FrozenSet[Channel], FrozenSet[Channel]]:
         reads: Set[Channel] = set()
         writes: Set[Channel] = set()
 
@@ -149,7 +188,7 @@ class Kernel:
                 self.generic_visit_stmt(s)
 
         _V().visit_stmt(self.body)
-        return reads, writes
+        return frozenset(reads), frozenset(writes)
 
     def local_buffers(self) -> List[Buffer]:
         """All non-global buffers allocated in the body."""

@@ -58,7 +58,7 @@ def check_perf(
     report the first set that triggers them.
     """
     try:
-        an = KernelAnalysis(kernel, constants)
+        an = KernelAnalysis.of(kernel, constants)
     except AOCError:
         # a kernel the AOC model cannot analyze is the synthesize
         # stage's problem, not the advisor's

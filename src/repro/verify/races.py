@@ -23,7 +23,7 @@ whole buffer, walked in program order.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.ir import expr as _e
 from repro.ir import stmt as _s
@@ -81,7 +81,12 @@ def check_races(
     sets = binding_sets if binding_sets else [{}]
     seen: Set[tuple] = set()
     for bindings in sets:
-        _check_unroll_races(kernel, bindings, report, seen)
+        # adopt same-named vars, as check_bounds does: the plan's
+        # bindings may come from an alpha-equivalent build of a
+        # lower-cache-replayed kernel
+        _check_unroll_races(
+            kernel, kernel.bind_by_name(bindings), report, seen
+        )
     _check_def_before_use(kernel, report)
     report.bump("kernels_race_checked")
     return report
@@ -91,16 +96,19 @@ def check_races(
 def _check_unroll_races(
     kernel: Kernel, bindings: Bindings, report: VerifyReport, seen: Set[tuple]
 ) -> None:
-    def walk(s: _s.Stmt) -> None:
-        if isinstance(s, _s.For):
-            if s.kind is _s.ForKind.UNROLLED:
-                _check_one_unrolled(kernel, s, bindings, report, seen)
-            walk(s.body)
-        else:
-            for c in s.children():
-                walk(c)
+    for loop in _unrolled_loops(kernel.body):
+        _check_one_unrolled(kernel, loop, bindings, report, seen)
 
-    walk(kernel.body)
+
+def _unrolled_loops(s: _s.Stmt) -> Iterator[_s.For]:
+    """Unrolled loops of ``s`` in pre-order."""
+    if isinstance(s, _s.For):
+        if s.kind is _s.ForKind.UNROLLED:
+            yield s
+        yield from _unrolled_loops(s.body)
+    else:
+        for c in s.children():
+            yield from _unrolled_loops(c)
 
 
 def _check_one_unrolled(
@@ -153,45 +161,54 @@ def _check_one_unrolled(
 # ---------------------------------------------------------------------------
 def _check_def_before_use(kernel: Kernel, report: VerifyReport) -> None:
     """Flag loads of kernel-allocated buffers before any store to them."""
-    stored: Set[str] = set()
-    flagged: Set[str] = set()
-    local_names = {b.name for b in kernel.local_buffers()}
+    _DefBeforeUse(kernel, report).walk(kernel.body)
 
-    def check_expr(e: _e.Expr) -> None:
+
+class _DefBeforeUse:
+    # a class rather than nested recursive closures: those form reference
+    # cycles through the kernel, which would outlive the check until a
+    # full garbage collection
+    def __init__(self, kernel: Kernel, report: VerifyReport) -> None:
+        self.kernel = kernel
+        self.report = report
+        self.stored: Set[str] = set()
+        self.flagged: Set[str] = set()
+        self.local_names = {b.name for b in kernel.local_buffers()}
+
+    def check_expr(self, e: _e.Expr) -> None:
         if isinstance(e, _e.Load):
             name = e.buffer.name
-            if name in local_names and name not in stored and name not in flagged:
-                flagged.add(name)
-                report.diagnostics.append(Diagnostic(
+            if (name in self.local_names and name not in self.stored
+                    and name not in self.flagged):
+                self.flagged.add(name)
+                self.report.diagnostics.append(Diagnostic(
                     "RR002", "warn",
                     f"load of {e.buffer.scope} buffer {name} can execute "
                     f"before any store to it (undefined data)",
-                    kernel=kernel.name, location=name,
+                    kernel=self.kernel.name, location=name,
                 ))
         for c in e.children():
-            check_expr(c)
+            self.check_expr(c)
 
-    def walk(s: _s.Stmt) -> None:
+    def walk(self, s: _s.Stmt) -> None:
         if isinstance(s, _s.Store):
-            check_expr(s.index)
-            check_expr(s.value)
-            stored.add(s.buffer.name)
+            self.check_expr(s.index)
+            self.check_expr(s.value)
+            self.stored.add(s.buffer.name)
         elif isinstance(s, _s.Evaluate):
-            check_expr(s.value)
+            self.check_expr(s.value)
         elif isinstance(s, _s.ChannelWrite):
-            check_expr(s.value)
+            self.check_expr(s.value)
         elif isinstance(s, _s.For):
-            check_expr(s.extent)
-            walk(s.body)
+            self.check_expr(s.extent)
+            self.walk(s.body)
         elif isinstance(s, _s.IfThenElse):
-            check_expr(s.cond)
-            walk(s.then_body)
+            self.check_expr(s.cond)
+            self.walk(s.then_body)
             if s.else_body is not None:
-                walk(s.else_body)
+                self.walk(s.else_body)
         elif isinstance(s, (_s.Allocate, _s.AttrStmt)):
-            walk(s.body)
+            self.walk(s.body)
         elif isinstance(s, _s.SeqStmt):
             for c in s.stmts:
-                walk(c)
-
-    walk(kernel.body)
+                self.walk(c)

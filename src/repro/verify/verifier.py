@@ -20,12 +20,12 @@ whose message carries the formatted findings — this is what makes the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.device.boards import Board
 from repro.errors import VerificationError
-from repro.ir.kernel import Program
+from repro.ir.kernel import Kernel, Program
 from repro.runtime.plan import Bindings, FoldedPlan, PipelinePlan
 from repro.verify.bounds import check_bounds
 from repro.verify.channels import check_channels
@@ -35,6 +35,10 @@ from repro.verify.perf import check_perf
 from repro.verify.races import check_races
 
 Plan = Union[PipelinePlan, FoldedPlan]
+
+
+def _by_name(bindings: Bindings) -> Tuple[Tuple[str, int], ...]:
+    return tuple(sorted((v.name, c) for v, c in bindings.items()))
 
 
 def binding_sets_of(plan: FoldedPlan) -> Dict[str, List[Bindings]]:
@@ -50,12 +54,55 @@ def binding_sets_of(plan: FoldedPlan) -> Dict[str, List[Bindings]]:
     for inv in plan.invocations:
         if not inv.bindings:
             continue
-        key = tuple(sorted((v.name, c) for v, c in inv.bindings.items()))
+        key = _by_name(inv.bindings)
         if key in seen.setdefault(inv.kernel_name, set()):
             continue
         seen[inv.kernel_name].add(key)
         out.setdefault(inv.kernel_name, []).append(inv.bindings)
     return out
+
+
+def _names_key(sets: Optional[List[Bindings]]) -> Optional[tuple]:
+    """Binding sets as ``(name, value)`` pairs, in order; ``None`` when a
+    set binds two vars of one name (then names do not determine values)."""
+    key = []
+    for bindings in sets or ():
+        pairs = _by_name(bindings)
+        if len({n for n, _ in pairs}) != len(pairs):
+            return None
+        key.append(pairs)
+    return tuple(key)
+
+
+def kernel_findings(
+    kernel: Kernel,
+    sets: Optional[List[Bindings]] = None,
+    board: Optional[Board] = None,
+    constants: AOCConstants = DEFAULT_CONSTANTS,
+) -> VerifyReport:
+    """Bounds, races and (with a ``board``) RP findings of one kernel.
+
+    The report is computed once per ``(binding sets by name and value,
+    board, constants)`` and stored on the kernel, so every build sharing
+    a lower-cache-replayed kernel replays it: merging it into a build
+    report yields the diagnostics, order and counters a fresh run
+    would.  The analyzers adopt the kernel's own vars by name, so the
+    plan's var objects do not enter the result.  Treat the returned
+    report as read-only.
+    """
+
+    def check() -> VerifyReport:
+        report = VerifyReport(subject=kernel.name)
+        check_bounds(kernel, sets, report)
+        check_races(kernel, sets, report)
+        if board is not None:
+            check_perf(kernel, sets, report, board, constants)
+        return report
+
+    key = _names_key(sets)
+    if key is None:
+        return check()
+    return kernel.derived(("verify", key, board, constants), check)
 
 
 def verify_build(
@@ -87,11 +134,9 @@ def verify_build(
     report = VerifyReport(subject=subject or program.name)
     bindings = binding_sets_of(plan) if isinstance(plan, FoldedPlan) else {}
     for kernel in program.kernels:
-        check_bounds(kernel, bindings.get(kernel.name), report)
-        check_races(kernel, bindings.get(kernel.name), report)
-        if board is not None:
-            check_perf(kernel, bindings.get(kernel.name), report, board,
-                       constants)
+        report.merge(
+            kernel_findings(kernel, bindings.get(kernel.name), board, constants)
+        )
     check_channels(
         program, plan if isinstance(plan, PipelinePlan) else None, report
     )
