@@ -11,13 +11,15 @@ phase independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, TypeVar
 
 import repro.ir as ir
-from repro.pipeline import register_canonicalizer, register_describer
+from repro.pipeline import fingerprint, register_canonicalizer, register_describer
 from repro.runtime.plan import Invocation
 from repro.schedule import Schedule, ScheduleRecipe
 from repro.schedule import lower as lower_schedule
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -30,6 +32,11 @@ class ScheduledKernel:
     transform sequence the schedule was built from (None for prebuilt
     kernels); its fingerprint enters the kernel's canonical form, so the
     content-addressed compile cache keys on the recipe.
+
+    A scheduled kernel is not modified once its builder returns it, so
+    keys derived from it are computed once (:meth:`derived`): its
+    :meth:`key` and its lower-cache key
+    (:func:`repro.flow.incremental.kernel_lower_key`).
     """
 
     name: str
@@ -38,6 +45,19 @@ class ScheduledKernel:
     prebuilt: Optional[ir.Kernel] = None
     lower_options: Dict[str, object] = field(default_factory=dict)
     recipe: Optional[ScheduleRecipe] = None
+    _derived: Dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def derived(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, evaluated once per ``key`` for this kernel."""
+        if key not in self._derived:
+            self._derived[key] = compute()
+        return self._derived[key]  # type: ignore[return-value]
+
+    def key(self) -> str:
+        """Fingerprint of this kernel's canonical form, computed once."""
+        return self.derived("key", lambda: fingerprint(self))
 
     @property
     def autorun(self) -> bool:
@@ -62,6 +82,13 @@ class PipelinedSchedule:
     channels: Dict[str, ir.Channel]
     uses_channels: bool
 
+    def form(self, kernels: List[object]) -> List[object]:
+        """Canonical form, with ``kernels`` standing for :attr:`kernels`."""
+        return [
+            "pipelined-schedule", self.level, self.program_name, kernels,
+            self.channels, self.uses_channels,
+        ]
+
 
 @dataclass
 class FoldedSchedule:
@@ -72,6 +99,21 @@ class FoldedSchedule:
     invocations: List[Invocation]
     #: group key -> kernel name, for introspection/tests
     groups: Dict[Tuple, str] = field(default_factory=dict)
+
+    def form(self, kernels: List[object]) -> List[object]:
+        """Canonical form, with ``kernels`` standing for :attr:`kernels`."""
+        return [
+            "folded-schedule", self.program_name, kernels,
+            [i.kernel_name for i in self.invocations],
+        ]
+
+
+def schedule_key_form(sched) -> List[object]:
+    """A schedule's canonical form with every kernel replaced by its
+    memoized :meth:`ScheduledKernel.key` — the Merkle form the
+    ``synthesize`` cache key hashes, so two schedules share it exactly
+    when their full canonical forms are equal."""
+    return sched.form([sk.key() for sk in sched.kernels])
 
 
 # -- pipeline integration ---------------------------------------------------
@@ -88,20 +130,8 @@ register_canonicalizer(
         None if s.recipe is None else s.recipe.fingerprint(),
     ],
 )
-register_canonicalizer(
-    PipelinedSchedule,
-    lambda s: [
-        "pipelined-schedule", s.level, s.program_name,
-        [k for k in s.kernels], s.channels, s.uses_channels,
-    ],
-)
-register_canonicalizer(
-    FoldedSchedule,
-    lambda s: [
-        "folded-schedule", s.program_name, [k for k in s.kernels],
-        [i.kernel_name for i in s.invocations],
-    ],
-)
+register_canonicalizer(PipelinedSchedule, lambda s: s.form(s.kernels))
+register_canonicalizer(FoldedSchedule, lambda s: s.form(s.kernels))
 
 register_describer(
     PipelinedSchedule,

@@ -18,6 +18,7 @@ import repro.ir as ir
 from repro.device.boards import Board
 from repro.errors import ScheduleError, UnsupportedError
 from repro.flow.artifacts import FoldedSchedule, ScheduledKernel
+from repro.flow.incremental import lower_cache_stats, lower_kernels, prebuilt_kernel
 from repro.relay.passes import FusedGraph, FusedNode
 from repro.runtime.plan import FoldedPlan, Invocation
 from repro.schedule import ScheduleRecipe, create_schedule
@@ -323,10 +324,8 @@ class _FoldedBuilder:
                 base_recipe = dense_opt_recipe(factor)
         elif fn.op == "softmax":
             (n,) = fn.anchor.inputs[0].out_shape
-            if naive:
-                kern = softmax_kernel_naive(n, fn.name, kname)
-            else:
-                kern = softmax_kernel_licm(n, fn.name, kname)
+            builder = softmax_kernel_naive if naive else softmax_kernel_licm
+            kern = prebuilt_kernel(builder, n, fn.name, kname)
         else:  # pragma: no cover
             raise UnsupportedError(f"folded builder: unsupported op {fn.op}")
         if kern is not None:
@@ -377,8 +376,6 @@ def lower_folded(sched: FoldedSchedule) -> ir.Program:
     per-kernel cache; this run's hit/miss/uncached deltas land on the
     program for the ``lower`` stage trace counters.
     """
-    from repro.flow.incremental import lower_cache_stats, lower_kernels
-
     before = lower_cache_stats()
     program = ir.Program(lower_kernels(sched.kernels), sched.program_name)
     after = lower_cache_stats()

@@ -20,13 +20,15 @@ identical names.  Second, the fingerprint only stands in for schedule
 *transform* state when that state is fully recorded as a
 :class:`~repro.schedule.ScheduleRecipe` — kernels without a recipe
 (the pipelined levels mutate schedules directly) and prebuilt kernels
-are lowered unconditionally and counted as ``lower_uncached``.
+are lowered unconditionally and counted as ``lower_uncached``.  Prebuilt
+kernels are memoized one step earlier, when the schedule stage emits
+them (:func:`prebuilt_kernel`).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, TypeVar
 
 import repro.ir as ir
 from repro.ir import expr as _e
@@ -37,6 +39,7 @@ from repro.pipeline.fingerprint import fingerprint
 __all__ = [
     "kernel_lower_key",
     "lower_kernels",
+    "prebuilt_kernel",
     "lower_cache_stats",
     "clear_lower_cache",
 ]
@@ -45,11 +48,14 @@ __all__ = [
 #: (anything else — channels, compute_at attachments — bypasses caching)
 _CACHEABLE_OPTIONS = {"autorun"}
 
-#: process-wide memo: fingerprint -> lowered kernel (LRU, bounded)
-_CACHE: "OrderedDict[str, ir.Kernel]" = OrderedDict()
+#: process-wide memo (LRU, bounded): fingerprint -> lowered kernel, and
+#: prebuilt-kernel key -> (kernel, uniquifier position after its build)
+_CACHE: "OrderedDict[Hashable, object]" = OrderedDict()
 _MAX_ENTRIES = 512
 
 _STATS: Dict[str, int] = {"hits": 0, "misses": 0, "uncached": 0}
+
+T = TypeVar("T")
 
 
 def _axis_canonical(ax: IterVar) -> List[object]:
@@ -107,8 +113,14 @@ def kernel_lower_key(sk) -> Optional[str]:
     ``None`` means the kernel must be lowered directly: prebuilt IR, a
     schedule whose transforms are not recorded as a recipe, or lowering
     options (channel wiring, stage attachment) outside the fingerprint's
-    vocabulary.
+    vocabulary.  Computed once per scheduled kernel and kept on it, so
+    the ``lower`` stage and the equivalence certifier's key
+    (:mod:`repro.verify.equiv`) share one computation.
     """
+    return sk.derived("lower_key", lambda: _lower_key(sk))
+
+
+def _lower_key(sk) -> Optional[str]:
     if sk.prebuilt is not None or sk.recipe is None or sk.schedule is None:
         return None
     if not set(sk.lower_options) <= _CACHEABLE_OPTIONS:
@@ -143,10 +155,40 @@ def _lower_one(sk) -> ir.Kernel:
         _STATS["hits"] += 1
         return cached
     _STATS["misses"] += 1
-    kernel = sk.lower()
-    _CACHE[key] = kernel
+    return _remember(key, sk.lower())
+
+
+def _remember(key: Hashable, value: T) -> T:
+    _CACHE[key] = value
     while len(_CACHE) > _MAX_ENTRIES:
         _CACHE.popitem(last=False)
+    return value
+
+
+def prebuilt_kernel(builder: Callable[..., ir.Kernel], *args: object) -> ir.Kernel:
+    """``builder(*args)`` — a kernel emitted directly as IR — memoized.
+
+    The key is the builder, its arguments and the position of the IR
+    name uniquifier (:func:`repro.ir.fresh_name_state`), which fixes
+    the loop-variable names the builder picks; a replay moves the
+    uniquifier to where the build left it.  A replay thus hands back
+    the kernel object a fresh build would equal, and with it every
+    result stored on it through :meth:`repro.ir.Kernel.derived` (the
+    verifier's findings).  Entries share the lower cache's LRU and are
+    dropped by :func:`clear_lower_cache`; they do not count as lower
+    hits or misses — the ``lower`` stage counts prebuilt kernels as
+    ``uncached``.
+    """
+    start = ir.fresh_name_state()
+    key = ("prebuilt-kernel", builder.__name__, args, start)
+    entry = _CACHE.get(key)
+    if entry is None:
+        kernel = builder(*args)
+        entry = _remember(key, (kernel, ir.fresh_name_state()))
+    else:
+        _CACHE.move_to_end(key)
+    kernel, end = entry
+    ir.set_fresh_name_state(end)
     return kernel
 
 

@@ -25,18 +25,20 @@ error-severity finding — *before* any synthesis time is spent.
 
 The ``synthesize`` stage — by far the most expensive in a real flow —
 is content-addressed: its cache key hashes the generated OpenCL source,
-the program's channel depths, the board and the AOC cost-model
-constants, so any change to graph, schedule, tiling, board or constants
-misses while a repeated deploy hits.
+the schedule's per-kernel keys, the program's channel depths, the board
+and the AOC cost-model constants, so any change to graph, schedule,
+tiling, board or constants misses while a repeated deploy hits.
 """
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Dict, Optional, Union
 
 from repro.aoc.constants import AOCConstants, DEFAULT_CONSTANTS
 from repro.codegen import generate_opencl
 from repro.device.boards import Board
+from repro.flow.artifacts import schedule_key_form
 from repro.flow.folded import (
     FoldedConfig,
     lower_folded,
@@ -103,24 +105,28 @@ def resolve_cache(cache: CacheOption) -> Optional[CompileCache]:
 def synthesize_key(board: Board, constants: AOCConstants) -> Callable[[Context], str]:
     """Content-addressed key for the ``synthesize`` stage.
 
-    Hashes the emitted OpenCL source (which embeds every schedule and
-    tiling decision, including ``__attribute__((depth(N)))`` channel
-    depths), the schedule artifact (whose kernels canonicalize to their
-    recipe fingerprints, so a DSE/autotune point is cached as its
-    (tiling, recipe) identity), the channel list, the target board and
-    the cost-model constants.  Source text is reproducible because
-    builders reset the IR name uniquifier
+    A Merkle-style hash over parts that are each computed once: the
+    sha256 of the emitted OpenCL source (which embeds every schedule
+    and tiling decision, including ``__attribute__((depth(N)))`` channel
+    depths), the schedule in its key form
+    (:func:`~repro.flow.artifacts.schedule_key_form`: each kernel stands
+    as its memoized digest over name, layer and recipe fingerprint, so a
+    DSE/autotune point is cached as its (tiling, recipe) identity), the
+    channel list, the target board and the cost-model constants.  No
+    stage artifact is canonicalized.  Source text is reproducible
+    because builders reset the IR name uniquifier
     (:func:`repro.ir.reset_fresh_names`) per build.
     """
 
     def key(ctx: Context) -> str:
         program = ctx.value("program")
         channels = sorted((c.name, c.depth) for c in program.all_channels())
+        source = hashlib.sha256(ctx.value("source").encode()).hexdigest()
         return fingerprint(
             [
                 "synthesize",
-                ctx.value("source"),
-                ctx.value("schedule"),
+                source,
+                schedule_key_form(ctx.value("schedule")),
                 channels,
                 board.name,
                 constants,

@@ -67,10 +67,12 @@ from repro.ir.tensor import (
     IterVar,
     Tensor,
     compute,
+    fresh_name_state,
     max_reduce,
     placeholder,
     reduce_axis,
     reset_fresh_names,
+    set_fresh_name_state,
     sum,
 )
 from repro.ir.kernel import Kernel, Program
@@ -104,9 +106,10 @@ __all__ = [
     "SeqStmt", "Stmt", "StmtMutator", "StmtVisitor", "Store", "StringImm",
     "Sub", "Tensor", "Var", "compute", "const", "convert",
     "count_flops_expr", "eval_int", "exp", "expr_str", "fmax", "fmin",
-    "free_vars", "max_reduce", "placeholder", "reduce_axis",
+    "free_vars", "fresh_name_state", "max_reduce", "placeholder", "reduce_axis",
     "reset_fresh_names", "run_kernel", "run_kernel_vectorized",
-    "run_program_sequential", "seq", "stmt_str", "stride_of",
+    "run_program_sequential", "seq", "set_fresh_name_state", "stmt_str",
+    "stride_of",
     "VectorizedInterpreter",
     "simplify_kernel", "simplify_stmt", "structural_equal", "substitute", "substitute_stmt", "sum",
 ]

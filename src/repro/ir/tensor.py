@@ -200,6 +200,17 @@ def reset_fresh_names() -> None:
     _unique_counter[0] = 0
 
 
+def fresh_name_state() -> int:
+    """Position of the name uniquifier, for :func:`set_fresh_name_state`."""
+    return _unique_counter[0]
+
+
+def set_fresh_name_state(state: int) -> None:
+    """Move the name uniquifier to ``state`` — where a memoized build
+    (:func:`repro.flow.incremental.prebuilt_kernel`) left it."""
+    _unique_counter[0] = state
+
+
 def placeholder(shape: Sequence[DimLike], name: str, dtype: str = _e.FLOAT32) -> Tensor:
     """Declare an input tensor (weights, activations, biases)."""
     return Tensor(name, shape, dtype)

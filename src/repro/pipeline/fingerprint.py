@@ -3,9 +3,12 @@
 ``fingerprint`` reduces any domain object to a canonical JSON-able
 structure and hashes it; two objects with the same semantic content get
 the same digest across processes (no ``id()``-derived state enters the
-canonical form).  Domain types outside this module's vocabulary can
+canonical form).  Domain types outside this module's vocabulary must
 register a canonicalizer (see :func:`register_canonicalizer`) — the flow
-layer does this for its schedule artifacts.
+layer does this for its schedule artifacts; an unregistered type raises
+``TypeError`` rather than falling back to a ``repr`` that could give two
+different objects one key.  NumPy integer and floating scalars reduce to
+Python ``int``/``float``, so ``np.int64(3)`` and ``3`` share a key.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import hashlib
 import json
 from dataclasses import fields, is_dataclass
 from typing import Callable, List, Tuple
+
+import numpy as np
 
 from repro.relay.graph import Graph, OpNode
 from repro.relay.passes import FusedGraph, FusedNode
@@ -31,6 +36,10 @@ def canonical(obj: object) -> object:
     """Reduce ``obj`` to a JSON-able structure stable across processes."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
     if isinstance(obj, bytes):
         return obj.hex()
     for cls, fn in reversed(_CANONICALIZERS):
@@ -65,10 +74,10 @@ def canonical(obj: object) -> object:
             "dataclass", type(obj).__name__,
             {f.name: canonical(getattr(obj, f.name)) for f in fields(obj)},
         ]
-    # last resort: reprs of small value-like objects (IR vars, specs).
-    # Anything whose default repr leaks an address should register a
-    # canonicalizer instead of relying on this.
-    return ["repr", type(obj).__name__, repr(obj)]
+    raise TypeError(
+        f"no canonical form for {type(obj).__module__}.{type(obj).__qualname__}"
+        " — register a canonicalizer for it"
+    )
 
 
 def _sort_key(entry: object) -> str:

@@ -16,6 +16,12 @@ Failures raise the original :class:`~repro.errors.ReproError` subclass —
 ``.stage`` name and a ``.diagnostic`` :class:`StageDiagnostic` carrying
 the artifact fingerprint and the partial trace, so a failure deep in a
 DSE sweep is attributable to a concrete stage and input.
+
+Content fingerprints are computed on demand: an :class:`Artifact`, the
+:class:`~repro.pipeline.trace.StageRecord` that names it and a
+:class:`StageDiagnostic` all hash the artifact's canonical form the
+first time their ``fingerprint`` is read, and keep the digest.  A plain
+run that never reads one canonicalizes no artifact.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import repro.errors as _errors
 from repro.aoc.compiler import Bitstream
 from repro.errors import PipelineError, ReproError
 from repro.ir.buffer import Channel
+from repro.ir.expr import Var
 from repro.ir.kernel import Kernel, Program
 from repro.pipeline.cache import CachedFailure, CompileCache
 from repro.pipeline.fingerprint import fingerprint, register_canonicalizer
@@ -41,13 +48,23 @@ from repro.verify.diagnostics import VerifyReport
 
 @dataclass
 class Artifact:
-    """One named, fingerprinted stage product."""
+    """One named stage product; its content fingerprint is computed on
+    first read of :attr:`fingerprint` and then kept."""
 
     name: str
     value: object
-    fingerprint: str
     size: int = 0
     counters: Dict[str, float] = field(default_factory=dict)
+    _fingerprint: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def fingerprint(self) -> str:
+        """sha256 hex digest of the value's canonical form."""
+        if self._fingerprint is None:
+            self._fingerprint = fingerprint(self.value)
+        return self._fingerprint
 
 
 class Stage:
@@ -98,10 +115,15 @@ class StageDiagnostic:
 
     pipeline: str
     stage: str
-    #: fingerprint of the last successfully produced artifact
-    fingerprint: str
+    #: the last successfully produced artifact (None before the first)
+    last: Optional[Artifact]
     #: partial trace up to and including the failing stage
     trace: Trace
+
+    @property
+    def fingerprint(self) -> str:
+        """Fingerprint of the last successfully produced artifact."""
+        return "" if self.last is None else self.last.fingerprint
 
     def __str__(self) -> str:
         return (
@@ -150,7 +172,7 @@ class Pipeline:
         for name, value in (seed or {}).items():
             ctx.put(_make_artifact(name, value))
 
-        last_fp = ""
+        last: Optional[Artifact] = None
         for stage in self.stages:
             t_start = time.perf_counter() - t0
             if stage.output in ctx:
@@ -158,12 +180,12 @@ class Pipeline:
                 records.append(
                     StageRecord(
                         stage=stage.name, status="seeded", t_start=t_start,
-                        t_end=t_start, artifact=art.name,
-                        fingerprint=art.fingerprint, size=art.size,
-                        counters=art.counters, notes=annotate_artifact(art.value),
+                        t_end=t_start, artifact=art.name, output=art,
+                        size=art.size, counters=art.counters,
+                        notes=annotate_artifact(art.value),
                     )
                 )
-                last_fp = art.fingerprint
+                last = art
                 continue
 
             cache_status: Optional[str] = None
@@ -181,7 +203,7 @@ class Pipeline:
                     )
                 )
                 diag = StageDiagnostic(
-                    pipeline=self.name, stage=stage.name, fingerprint=last_fp,
+                    pipeline=self.name, stage=stage.name, last=last,
                     trace=Trace(self.name, records),
                 )
                 err.stage = stage.name
@@ -190,13 +212,13 @@ class Pipeline:
             t_end = time.perf_counter() - t0
             art = _make_artifact(stage.output, value)
             ctx.put(art)
-            last_fp = art.fingerprint
+            last = art
             records.append(
                 StageRecord(
                     stage=stage.name,
                     status="cached" if cache_status == "hit" else "ok",
                     t_start=t_start, t_end=t_end, artifact=art.name,
-                    fingerprint=art.fingerprint, size=art.size,
+                    output=art, size=art.size,
                     counters=art.counters, cache=cache_status,
                     events=_stage_events(events_cursor),
                     notes=annotate_artifact(value),
@@ -302,10 +324,7 @@ def annotate_artifact(value: object) -> List[str]:
 
 def _make_artifact(name: str, value: object) -> Artifact:
     size, counters = describe_artifact(value)
-    return Artifact(
-        name=name, value=value, fingerprint=fingerprint(value), size=size,
-        counters=counters,
-    )
+    return Artifact(name=name, value=value, size=size, counters=counters)
 
 
 # -- built-in describers ----------------------------------------------------
@@ -415,6 +434,8 @@ register_describer(FoldedPlan, _describe_folded_plan)
 
 # -- built-in canonicalizers for IR/AOC types (stable fingerprints) ---------
 
+# a var is its name and its dtype: Var("x", "float32") and Var("x") differ
+register_canonicalizer(Var, lambda v: ["var", v.name, v.dtype])
 register_canonicalizer(Channel, lambda c: ["channel", c.name, c.depth])
 register_canonicalizer(
     Kernel,

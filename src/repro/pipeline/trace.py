@@ -24,8 +24,9 @@ class StageRecord:
     t_end: float
     #: artifact name this stage produced
     artifact: str = ""
-    #: content fingerprint of the produced artifact (sha256 hex)
-    fingerprint: str = ""
+    #: the produced :class:`~repro.pipeline.Artifact` (None on error);
+    #: read only through :attr:`fingerprint`
+    output: Optional[object] = field(default=None, repr=False, compare=False)
     #: natural size of the artifact (nodes, kernels, bytes ...)
     size: int = 0
     #: stage-specific counters (kernels emitted, DSPs, max II ...)
@@ -39,6 +40,12 @@ class StageRecord:
     #: human-readable annotations contributed by the artifact (e.g. the
     #: verify stage's performance-advisor findings)
     notes: List[str] = field(default_factory=list)
+
+    @property
+    def fingerprint(self) -> str:
+        """Content fingerprint (sha256 hex) of the produced artifact,
+        computed on first read; ``""`` when the stage produced none."""
+        return "" if self.output is None else self.output.fingerprint
 
     @property
     def wall_ms(self) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ScheduleError
@@ -204,7 +205,15 @@ class ScheduleRecipe:
 
     # -- identity ------------------------------------------------------
     def fingerprint(self) -> str:
-        """Content hash of the recipe — the compile-cache key component."""
+        """Content hash of the recipe — the compile-cache key component.
+
+        Computed once per recipe: the recipe is frozen and its steps are
+        tuples of frozen steps, so the digest cannot go stale.
+        """
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> str:
         from repro.pipeline.fingerprint import fingerprint
 
         return fingerprint(["schedule-recipe", self.to_dict()])
