@@ -34,7 +34,7 @@ from repro.device.boards import Board
 from repro.errors import AOCError, FitError, RoutingError
 from repro.flow.folded import FoldedConfig
 from repro.flow.stages import CacheOption, folded_flow, resolve_cache
-from repro.pipeline.cache import CompileCache, DiskBackend, MemoryBackend, _MISS
+from repro.pipeline.cache import CompileCache, DiskBackend, LRU, _MISS
 from repro.relay.passes import FusedGraph
 from repro.runtime.simulate import simulate_folded
 from repro.schedule import ScheduleRecipe
@@ -310,9 +310,7 @@ def _open_worker_cache(cache_dir: Optional[str]) -> Optional[CompileCache]:
     """A worker-local cache layered over the shared on-disk rendezvous."""
     if cache_dir is None:
         return None
-    return CompileCache(
-        backends=[MemoryBackend(32), DiskBackend(cache_dir)]
-    )
+    return CompileCache(backends=[LRU(32), DiskBackend(cache_dir)])
 
 
 def _sweep_task(task):
@@ -369,9 +367,9 @@ def merge_disk_entries(
     disk = DiskBackend(directory)
     for path in sorted(disk.directory.glob("*.pkl")):
         key = path.stem
-        if any(b.get(key) is not _MISS for b in resolved.backends):
+        if any(b.get(key, _MISS) is not _MISS for b in resolved.backends):
             continue
-        value = disk.get(key)
+        value = disk.get(key, _MISS)
         if value is not _MISS:
             resolved.store(key, value)
 

@@ -27,13 +27,13 @@ them (:func:`prebuilt_kernel`).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Callable, Dict, Hashable, List, Optional, TypeVar
+from typing import Callable, Dict, List, Optional
 
 import repro.ir as ir
 from repro.ir import expr as _e
 from repro.ir.printer import expr_str
 from repro.ir.tensor import IterVar, Tensor
+from repro.pipeline.cache import LRU
 from repro.pipeline.fingerprint import fingerprint
 
 __all__ = [
@@ -50,12 +50,9 @@ _CACHEABLE_OPTIONS = {"autorun"}
 
 #: process-wide memo (LRU, bounded): fingerprint -> lowered kernel, and
 #: prebuilt-kernel key -> (kernel, uniquifier position after its build)
-_CACHE: "OrderedDict[Hashable, object]" = OrderedDict()
-_MAX_ENTRIES = 512
+_CACHE = LRU(512)
 
 _STATS: Dict[str, int] = {"hits": 0, "misses": 0, "uncached": 0}
-
-T = TypeVar("T")
 
 
 def _axis_canonical(ax: IterVar) -> List[object]:
@@ -151,18 +148,12 @@ def _lower_one(sk) -> ir.Kernel:
         return sk.lower()
     cached = _CACHE.get(key)
     if cached is not None:
-        _CACHE.move_to_end(key)
         _STATS["hits"] += 1
         return cached
     _STATS["misses"] += 1
-    return _remember(key, sk.lower())
-
-
-def _remember(key: Hashable, value: T) -> T:
-    _CACHE[key] = value
-    while len(_CACHE) > _MAX_ENTRIES:
-        _CACHE.popitem(last=False)
-    return value
+    kernel = sk.lower()
+    _CACHE.put(key, kernel)
+    return kernel
 
 
 def prebuilt_kernel(builder: Callable[..., ir.Kernel], *args: object) -> ir.Kernel:
@@ -183,10 +174,8 @@ def prebuilt_kernel(builder: Callable[..., ir.Kernel], *args: object) -> ir.Kern
     key = ("prebuilt-kernel", builder.__name__, args, start)
     entry = _CACHE.get(key)
     if entry is None:
-        kernel = builder(*args)
-        entry = _remember(key, (kernel, ir.fresh_name_state()))
-    else:
-        _CACHE.move_to_end(key)
+        entry = (builder(*args), ir.fresh_name_state())
+        _CACHE.put(key, entry)
     kernel, end = entry
     ir.set_fresh_name_state(end)
     return kernel

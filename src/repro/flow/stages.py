@@ -1,8 +1,9 @@
 """Stage definitions wiring the deployment flow into :mod:`repro.pipeline`.
 
 The thesis' Figure 3.1 flow becomes eight named stages —
-``import -> fuse -> schedule -> lower -> codegen -> verify -> synthesize
--> plan`` — each producing one typed artifact:
+``import -> fuse -> schedule -> lower -> codegen -> plan -> verify ->
+synthesize`` — each producing one typed artifact from the artifacts of
+the stages before it:
 
 ========== ============ ==========================================
 stage      artifact     type
@@ -12,16 +13,17 @@ fuse       fused        :class:`repro.relay.passes.FusedGraph`
 schedule   schedule     ``PipelinedSchedule`` / ``FoldedSchedule``
 lower      program      :class:`repro.ir.Program`
 codegen    source       ``str`` (the generated ``.cl`` file)
+plan       plan         ``PipelinePlan`` / ``FoldedPlan``
 verify     verify       :class:`repro.verify.VerifyReport`
 synthesize bitstream    :class:`repro.aoc.compiler.Bitstream`
-plan       plan         ``PipelinePlan`` / ``FoldedPlan``
 ========== ============ ==========================================
 
 The ``verify`` stage runs the static analyzers of :mod:`repro.verify`
 (bounds, unroll races, channel protocol, OpenCL lint) over the lowered
-program, the emitted source and the execution plan, and fails the
-deploy with :class:`~repro.errors.VerificationError` on any
-error-severity finding — *before* any synthesis time is spent.
+program, the emitted source and the ``plan`` artifact — the very plan
+object the deployment runs — and fails the deploy with
+:class:`~repro.errors.VerificationError` on any error-severity finding,
+*before* any synthesis time is spent.
 
 The ``synthesize`` stage — by far the most expensive in a real flow —
 is content-addressed: its cache key hashes the generated OpenCL source,
@@ -140,22 +142,30 @@ def _import_stage(network: str) -> Stage:
     return Stage("import", "graph", lambda ctx: MODELS[network]())
 
 
+def _synthesize_stage(board: Board, constants: AOCConstants) -> Stage:
+    return Stage(
+        "synthesize",
+        "bitstream",
+        lambda ctx: synthesize_resilient(ctx.value("program"), board, constants),
+        cache_key=synthesize_key(board, constants),
+    )
+
+
 def _verify_stage(
-    planner: Callable[[Context], object],
     board: Optional[Board] = None,
     constants: AOCConstants = DEFAULT_CONSTANTS,
 ) -> Stage:
-    """The static-verification gate between ``codegen`` and ``synthesize``.
+    """The static-verification gate between ``plan`` and ``synthesize``.
 
-    ``planner`` builds the execution plan from the fused graph and the
-    schedule (the same pure computation the later ``plan`` stage runs):
-    the verifier needs it for channel/plan cross-checks and for the
-    binding sets of folded kernels.  A report with any error-severity
-    diagnostic raises :class:`~repro.errors.VerificationError`, so no
-    synthesis time is ever spent on a provably broken build.  With a
-    ``board`` the performance advisor (RP rules) runs too; its
-    advice-severity findings never fail the stage but land in the stage
-    trace as notes.
+    The verifier reads the ``plan`` artifact — the same object the
+    deployment later runs — for channel/plan cross-checks and for the
+    binding sets of folded kernels; a plan-less run (a bare program
+    seeded into the pipeline) verifies with ``plan=None``.  A report
+    with any error-severity diagnostic raises
+    :class:`~repro.errors.VerificationError`, so no synthesis time is
+    ever spent on a provably broken build.  With a ``board`` the
+    performance advisor (RP rules) runs too; its advice-severity
+    findings never fail the stage but land in the stage trace as notes.
 
     The schedule-equivalence certifier (RE rules,
     :mod:`repro.verify.equiv`) runs as part of this stage: every
@@ -180,7 +190,7 @@ def _verify_stage(
         from repro.verify.equiv import certify_build
         from repro.verify.memory import check_memory
 
-        plan = planner(ctx)
+        plan = ctx.value("plan") if "plan" in ctx else None
         report = verify_build(
             ctx.value("program"),
             source=ctx.value("source"),
@@ -236,23 +246,13 @@ def pipelined_flow(
                   lambda ctx: lower_pipelined(ctx.value("schedule"))),
             Stage("codegen", "source",
                   lambda ctx: generate_opencl(ctx.value("program"))),
-            _verify_stage(
-                lambda ctx: plan_pipelined(ctx.value("fused"), ctx.value("schedule")),
-                board, constants,
-            ),
-            Stage(
-                "synthesize",
-                "bitstream",
-                lambda ctx: synthesize_resilient(
-                    ctx.value("program"), board, constants
-                ),
-                cache_key=synthesize_key(board, constants),
-            ),
             Stage(
                 "plan",
                 "plan",
                 lambda ctx: plan_pipelined(ctx.value("fused"), ctx.value("schedule")),
             ),
+            _verify_stage(board, constants),
+            _synthesize_stage(board, constants),
         ],
         cache=resolve_cache(cache),
     )
@@ -310,23 +310,13 @@ def folded_flow(
               lambda ctx: lower_folded(ctx.value("schedule"))),
         Stage("codegen", "source",
               lambda ctx: generate_opencl(ctx.value("program"))),
-        _verify_stage(
-            lambda ctx: plan_folded(ctx.value("fused"), ctx.value("schedule")),
-            board, constants,
-        ),
-        Stage(
-            "synthesize",
-            "bitstream",
-            lambda ctx: synthesize_resilient(
-                ctx.value("program"), board, constants
-            ),
-            cache_key=synthesize_key(board, constants),
-        ),
         Stage(
             "plan",
             "plan",
             lambda ctx: plan_folded(ctx.value("fused"), ctx.value("schedule")),
         ),
+        _verify_stage(board, constants),
+        _synthesize_stage(board, constants),
     ]
     return Pipeline(
         f"folded:{network}:{board.name}" + (":autofix" if autofix else ""),

@@ -14,7 +14,7 @@ from repro.pipeline.cache import (
     CachedFailure,
     CompileCache,
     DiskBackend,
-    MemoryBackend,
+    LRU,
     default_cache,
     set_default_cache,
 )
@@ -34,7 +34,7 @@ from repro.pipeline.trace import StageRecord, Trace
 
 __all__ = [
     "Artifact", "CachedFailure", "CompileCache", "Context", "DiskBackend",
-    "MemoryBackend", "Pipeline", "PipelineResult", "Stage", "StageDiagnostic",
+    "LRU", "Pipeline", "PipelineResult", "Stage", "StageDiagnostic",
     "StageRecord", "Trace", "canonical", "default_cache", "describe_artifact",
     "fingerprint", "register_annotator", "register_canonicalizer", "register_describer",
     "set_default_cache",

@@ -7,11 +7,16 @@ determines a bitstream — generated OpenCL source, channel topology,
 board, AOC constants — so a hit returns a bitstream equal to what a
 fresh synthesis would produce.
 
-Two backends compose: an in-process LRU :class:`MemoryBackend` (always
-on by default) and an optional pickle-per-entry :class:`DiskBackend`
-that survives process restarts.  Deterministic synthesis *failures*
-(fit/routing) are cached too, as :class:`CachedFailure` entries, so a
-DSE sweep does not re-synthesize known-infeasible points.
+Two backends compose: an in-process :class:`LRU` (always on by default)
+and an optional pickle-per-entry :class:`DiskBackend` that survives
+process restarts.  Deterministic synthesis *failures* (fit/routing) are
+cached too, as :class:`CachedFailure` entries, so a DSE sweep does not
+re-synthesize known-infeasible points.
+
+:class:`LRU` is also the one bounded memo behind every other process
+cache: the per-kernel lower cache (:mod:`repro.flow.incremental`), the
+equivalence-certificate cache (:mod:`repro.verify.equiv`) and the
+serving logits memo (:class:`repro.serve.replica.LogitsCache`).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -43,27 +48,43 @@ class CachedFailure:
     seeds_tried: Tuple[int, ...] = ()
 
 
-class MemoryBackend:
-    """In-process LRU store."""
+class LRU:
+    """A bounded, recency-ordered map.
 
-    def __init__(self, max_entries: int = 128) -> None:
-        self.max_entries = max_entries
-        self._store: "OrderedDict[str, object]" = OrderedDict()
+    :meth:`get` on a present key refreshes its recency; a membership
+    test (``key in lru``) does not, and neither does a :meth:`put` that
+    refills a key already present.  A :meth:`put` of a new key past
+    :attr:`capacity` evicts the least recently used entry.  Callers
+    keep their own hit/miss counters.
+    """
 
-    def get(self, key: str) -> object:
-        if key not in self._store:
-            return _MISS
-        self._store.move_to_end(key)
-        return self._store[key]
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._data: "OrderedDict[Hashable, object]" = OrderedDict()
 
-    def put(self, key: str, value: object) -> None:
-        self._store[key] = value
-        self._store.move_to_end(key)
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
+    def get(self, key: Hashable, default: object = None) -> object:
+        if key not in self._data:
+            return default
+        self._data.move_to_end(key)
+        return self._data[key]
+
+    def put(self, key: Hashable, value: object) -> None:
+        self._data[key] = value
+        while len(self._data) > self.capacity:
+            self._data.popitem(last=False)
+
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key`` if present."""
+        self._data.pop(key, None)
+
+    def clear(self) -> None:
+        self._data.clear()
+
+    def __contains__(self, key: Hashable) -> bool:
+        return key in self._data
 
     def __len__(self) -> int:
-        return len(self._store)
+        return len(self._data)
 
 
 class DiskBackend:
@@ -76,10 +97,10 @@ class DiskBackend:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
-    def get(self, key: str) -> object:
+    def get(self, key: str, default: object = None) -> object:
         path = self._path(key)
         if not path.exists():
-            return _MISS
+            return default
         try:
             with path.open("rb") as fh:
                 return pickle.load(fh)
@@ -89,7 +110,7 @@ class DiskBackend:
                 path.unlink()
             except OSError:
                 pass
-            return _MISS
+            return default
 
     def put(self, key: str, value: object) -> None:
         # atomic publish: write to a temp file, verify it round-trips,
@@ -129,7 +150,7 @@ class CompileCache:
         disk_dir: Optional[os.PathLike] = None,
     ) -> None:
         if backends is None:
-            backends = [MemoryBackend(max_entries)]
+            backends = [LRU(max_entries)]
             if disk_dir:
                 backends.append(DiskBackend(disk_dir))
         self.backends: List[object] = list(backends)
@@ -140,7 +161,7 @@ class CompileCache:
     def lookup(self, key: str) -> Tuple[bool, object]:
         """``(found, value)``; a hit is promoted into earlier backends."""
         for i, backend in enumerate(self.backends):
-            value = backend.get(key)
+            value = backend.get(key, _MISS)
             if value is not _MISS:
                 for earlier in self.backends[:i]:
                     earlier.put(key, value)

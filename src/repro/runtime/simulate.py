@@ -164,28 +164,9 @@ def _apply_channel_stalls(
 
 
 def simulate_folded(bs: Bitstream, plan: FoldedPlan) -> RunResult:
-    """Cost a folded deployment (MobileNet/ResNet-style, serial queue)."""
-    _check_device_lost(bs.program.name)
-    c = bs.constants
-    board = bs.board
-    write_us = h2d_time_us(board, plan.input_bytes)
-    read_us = d2h_time_us(board, plan.output_bytes)
-    stage_times: Dict[str, float] = {}
-    device_us = 0.0
-    for inv in plan.invocations:
-        t = bs.kernel_time_us(inv.kernel_name, inv.bindings)
-        stage_times[inv.layer] = t
-        device_us += t
-    host = len(plan.invocations) * (board.enqueue_overhead_us + c.launch_latency_us)
-    total = write_us + read_us + device_us + host
-    return RunResult(
-        time_per_image_us=total,
-        fps=1e6 / total,
-        stage_times_us=stage_times,
-        host_overhead_us=host,
-        write_us=write_us,
-        read_us=read_us,
-    )
+    """Cost a folded deployment (MobileNet/ResNet-style, serial queue):
+    a batch of one, so ``x1``/``/1`` leave the figures bit-identical."""
+    return simulate_batched(bs, plan, 1)
 
 
 def simulate_batched(

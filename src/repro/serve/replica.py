@@ -29,6 +29,7 @@ from repro.errors import ReproError
 from repro.flow.deploy import Deployment, build_rung
 from repro.flow.stages import CacheOption, MODELS, default_mode, resolve_cache
 from repro.perf import tf_cpu_fps
+from repro.pipeline.cache import LRU
 from repro.relay import fuse_operators, init_params, run_fused_graph
 from repro.resilience.config import configured
 from repro.resilience.events import record as _record
@@ -59,26 +60,23 @@ def cpu_service_us(network: str) -> float:
     return 1e6 / fps
 
 
-class LogitsCache:
+class LogitsCache(LRU):
     """Pool-wide functional-inference memo, keyed by input content.
 
     Replicas of one network share parameters (``init_params(seed=0)``),
     so their logits are identical — computing each distinct input once
     keeps functional verification affordable at serving scale.  The memo
-    holds at most :attr:`capacity` inputs and evicts the oldest entry
-    first, so a long-running server's memory stays bounded.
+    holds at most :attr:`capacity` inputs and evicts the least recently
+    used entry first, so a long-running server's memory stays bounded.
     """
 
     #: most inputs kept; well above the distinct inputs of one replay
     capacity = 256
 
     def __init__(self) -> None:
-        self._store: Dict[str, Optional[np.ndarray]] = {}
+        super().__init__(self.capacity)
         self.hits = 0
         self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._store)
 
     def get_batch(
         self, network: str, xs: Sequence[np.ndarray], compute
@@ -94,15 +92,15 @@ class LogitsCache:
         pending: Dict[str, List[int]] = {}
         for i, x in enumerate(xs):
             key = f"{network}:{input_fingerprint(x)}"
-            if key in self._store:
+            if key in self:
                 self.hits += 1
-                y = self._store[key]
+                y = self.get(key)
                 if y is None:  # a miss earlier in this batch
                     pending[key].append(i)
             else:
                 self.misses += 1
                 y = None
-                self._put(key, None)  # reserve the slot, as one-by-one would
+                self.put(key, None)  # reserve the slot, as one-by-one would
                 pending.setdefault(key, []).append(i)
             out.append(y)
         if pending:
@@ -110,20 +108,14 @@ class LogitsCache:
                 ys = compute(np.stack([xs[at[0]] for at in pending.values()]))
             except BaseException:
                 for key in pending:  # drop this batch's reservations
-                    if key in self._store and self._store[key] is None:
-                        del self._store[key]
+                    self.discard(key)
                 raise
             for (key, at), y in zip(pending.items(), ys):
-                if key in self._store:
-                    self._store[key] = y
+                if key in self:
+                    self.put(key, y)
                 for i in at:
                     out[i] = y
         return out
-
-    def _put(self, key: str, y: Optional[np.ndarray]) -> None:
-        while len(self._store) >= self.capacity:
-            del self._store[next(iter(self._store))]
-        self._store[key] = y
 
 
 @dataclass

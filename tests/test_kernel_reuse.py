@@ -53,7 +53,7 @@ def _record_round(monkeypatch, fresh: bool) -> list:
     clear_lower_cache()
     clear_equiv_cache()
     if fresh:
-        monkeypatch.setattr(incremental, "_MAX_ENTRIES", 0)
+        monkeypatch.setattr(incremental._CACHE, "capacity", 0)
     records = []
     real_assert = stages.assert_clean
     real_simulate = dse.simulate_folded

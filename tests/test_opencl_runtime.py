@@ -1,13 +1,25 @@
 """Event-level OpenCL host-runtime simulator tests."""
 
+import dataclasses
+
 import pytest
 
 import repro.ir as ir
+import repro.runtime.simulate as simulate
 from repro.aoc import compile_program
-from repro.device import STRATIX10_SX
+from repro.device import ALL_BOARDS, STRATIX10_SX
 from repro.errors import RuntimeSimError
-from repro.flow import deploy_folded
-from repro.runtime import SimContext, run_folded_event, simulate_folded
+from repro.flow import deploy_folded, folded_flow
+from repro.flow.deploy import folded_config_for
+from repro.flow.stages import DISABLED, MODELS, default_mode
+from repro.pipeline import Pipeline
+from repro.runtime import (
+    RunResult,
+    SimContext,
+    run_folded_event,
+    simulate_batched,
+    simulate_folded,
+)
 from repro.schedule import lower
 from repro.topi import ConvSpec, ConvTiling, conv2d_tensors, schedule_conv2d_opt
 
@@ -88,6 +100,34 @@ class TestEventSemantics:
         q = ctx.create_queue()
         e = ctx.enqueue_kernel(q, "k")
         assert abs(e.duration_us - bitstream.kernel_time_us("k")) < 1e-9
+
+
+FOLDED_NETWORKS = sorted(n for n in MODELS if default_mode(n) == "folded")
+
+
+@pytest.mark.parametrize("board", ALL_BOARDS, ids=lambda b: b.name)
+@pytest.mark.parametrize("network", FOLDED_NETWORKS)
+def test_folded_cost_is_batch_of_one(network, board, monkeypatch):
+    """``simulate_folded`` is ``simulate_batched(..., 1)`` field for field,
+    with one device-lost probe per call.  Builds that do not fit the
+    board are costed from their non-strict bitstream."""
+    flow = folded_flow(network, board, folded_config_for(network, board),
+                       cache=DISABLED)
+    build = Pipeline(flow.name, [
+        st for st in flow.stages if st.name not in ("verify", "synthesize")
+    ]).run()
+    bs = compile_program(build.value("program"), board, strict_fit=False)
+    plan = build.value("plan")
+    probes = []
+    real_probe = simulate._check_device_lost
+    monkeypatch.setattr(simulate, "_check_device_lost",
+                        lambda label: probes.append(label) or real_probe(label))
+    folded = simulate_folded(bs, plan)
+    assert len(probes) == 1
+    batched = simulate_batched(bs, plan, 1)
+    assert len(probes) == 2
+    for f in dataclasses.fields(RunResult):
+        assert getattr(folded, f.name) == getattr(batched, f.name), f.name
 
 
 class TestFoldedEventEngine:

@@ -21,7 +21,7 @@ from repro.flow import (
     sweep_conv1x1,
 )
 from repro.flow.deploy import MOBILENET_1X1_TILINGS
-from repro.pipeline import CachedFailure, CompileCache, DiskBackend, MemoryBackend
+from repro.pipeline import CachedFailure, CompileCache, DiskBackend, LRU
 from repro.relay import fuse_operators
 from repro.models import mobilenet_v1
 from repro.topi import ConvTiling
@@ -115,7 +115,7 @@ class TestFailureCaching:
         assert cache.stats() == {"hits": 1, "misses": 1}
 
     def test_cached_failure_entry_shape(self):
-        backend = MemoryBackend()
+        backend = LRU(128)
         backend.put("k", CachedFailure("FitError", "too big"))
         entry = backend.get("k")
         assert isinstance(entry, CachedFailure)
@@ -124,14 +124,24 @@ class TestFailureCaching:
 
 class TestBackends:
     def test_memory_lru_eviction(self):
-        backend = MemoryBackend(max_entries=2)
+        backend = LRU(2)
         backend.put("a", 1)
         backend.put("b", 2)
-        backend.get("a")  # refresh a; b becomes LRU
-        backend.put("c", 3)
-        assert backend.get("b") is backend.get("missing")  # evicted
-        assert backend.get("a") == 1
-        assert backend.get("c") == 3
+        assert backend.get("a") == 1  # a hit refreshes a; b becomes LRU
+        backend.put("c", 3)  # past the bound: evicts b
+        assert len(backend) == 2
+        assert "b" not in backend
+        assert backend.get("b", "absent") == "absent"
+        # recency is a < c: neither a membership test nor a refill of an
+        # existing slot refreshes a, so a is still the LRU entry
+        assert "a" in backend
+        backend.put("a", 10)
+        backend.put("d", 4)
+        assert [k in backend for k in "acd"] == [False, True, True]
+        assert backend.get("c") == 3  # c refreshed; d becomes LRU
+        backend.put("e", 5)
+        assert [k in backend for k in "cde"] == [True, False, True]
+        assert len(backend) == 2
 
     def test_disk_backend_within_process(self, tmp_path):
         cache = CompileCache(disk_dir=tmp_path)

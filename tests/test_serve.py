@@ -349,20 +349,22 @@ class TestServer:
 
 
 class TestLogitsCacheBound:
-    """The memo is bounded: oldest entries go first, counters stay exact."""
+    """The memo is bounded: the least recently used entry goes first,
+    counters stay exact."""
 
     @staticmethod
     def _reference(keys, capacity):
-        """Hits/misses of one-by-one lookups in an oldest-first memo."""
-        store, hits, misses = [], 0, 0
+        """Hits/misses of one-by-one lookups in an LRU memo."""
+        store, hits, misses = [], 0, 0  # least recently used first
         for k in keys:
             if k in store:
                 hits += 1
+                store.remove(k)
             else:
                 misses += 1
                 if len(store) >= capacity:
                     store.pop(0)
-                store.append(k)
+            store.append(k)
         return hits, misses
 
     @staticmethod
@@ -389,7 +391,7 @@ class TestLogitsCacheBound:
             assert len(cache) <= cache.capacity
         assert (cache.hits, cache.misses) == self._reference(keys, 3)
 
-    def test_evicts_oldest_first(self):
+    def test_evicts_least_recently_used(self):
         from repro.serve import LogitsCache
 
         cache = LogitsCache()
@@ -397,10 +399,15 @@ class TestLogitsCacheBound:
         images = self._images(3)
         ident = lambda xs: xs.reshape(len(xs), -1)[:, :1]  # noqa: E731
         cache.get_batch("lenet5", images[:2], ident)  # 2 misses
-        cache.get_batch("lenet5", images[2:], ident)  # evicts image 0
-        cache.get_batch("lenet5", images[1:2], ident)  # still cached
-        cache.get_batch("lenet5", images[:1], ident)  # recomputed
-        assert (cache.hits, cache.misses) == (1, 4)
+        cache.get_batch("lenet5", images[:1], ident)  # hit refreshes image 0
+        cache.get_batch("lenet5", images[2:], ident)  # evicts image 1
+        cache.get_batch("lenet5", images[:1], ident)  # still cached
+        cache.get_batch("lenet5", images[1:2], ident)  # recomputed
+        # oldest-first eviction would drop image 0 instead: (1, 5)
+        assert (cache.hits, cache.misses) == (2, 4)
+        assert (cache.hits, cache.misses) == self._reference(
+            [0, 1, 0, 2, 0, 1], 2
+        )
 
     def test_failed_compute_leaves_no_reservation(self):
         from repro.serve import LogitsCache

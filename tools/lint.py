@@ -27,6 +27,10 @@ One entry point for every source-hygiene check the CI lint job runs:
   transform catalog of ``docs/schedules.md`` (a ``` `op(...)` ```
   heading per transform), and every transform documented there must
   exist in the catalog.
+* ``one cache`` — every bounded in-process memo goes through
+  ``repro.pipeline.cache.LRU``: ``OrderedDict`` or ``.popitem(``
+  anywhere under ``src/repro/`` outside ``pipeline/cache.py`` is a
+  hand-rolled store and fails, naming the file and line.
 
 Exit status is unified: 0 when every check is clean, 1 when any check
 reports findings.  Run as ``python tools/lint.py`` from the repository
@@ -206,6 +210,31 @@ def check_recipe_catalog() -> int:
     return 1 if findings else 0
 
 
+#: a hand-rolled bounded store: the LRU idiom outside pipeline/cache.py
+HAND_ROLLED_CACHE = re.compile(r"OrderedDict|\.popitem\(")
+
+
+def check_one_cache() -> int:
+    """No bounded store is hand-rolled outside ``pipeline/cache.py``."""
+    src = ROOT / "src" / "repro"
+    home = src / "pipeline" / "cache.py"
+    findings = []
+    for path in sorted(src.rglob("*.py")):
+        if path == home:
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if HAND_ROLLED_CACHE.search(line):
+                findings.append(
+                    f"{path.relative_to(ROOT)}:{lineno}: hand-rolled "
+                    f"bounded store ({line.strip()!r}); use "
+                    "repro.pipeline.cache.LRU"
+                )
+    for f in findings:
+        print(f)
+    print(f"{len(findings)} finding(s)")
+    return 1 if findings else 0
+
+
 def main() -> int:
     status = 0
     for title, check in [
@@ -215,6 +244,7 @@ def main() -> int:
         ("rule-family index", check_family_index),
         ("analyzer RULES sync", check_analyzer_rules),
         ("recipe catalog sync", check_recipe_catalog),
+        ("one cache", check_one_cache),
     ]:
         print(f"== {title} ==")
         status |= check()
